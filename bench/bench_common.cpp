@@ -35,7 +35,6 @@ core::ExperimentConfig bench_config(workload::WorkloadKind kind,
   cfg.base_bandwidth = 125e6;
   cfg.lag_seconds = 60.0;
   cfg.probe_k = 30;
-  cfg.job.partition_records = 24;
   cfg.job.machine.executors = 4;
   cfg.seed = 20181204;  // CoNEXT'18 presentation day
   return cfg;

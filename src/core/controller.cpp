@@ -31,23 +31,42 @@ Controller::Controller(net::WanTopology topology,
   BOHR_EXPECTS(total_queries_ > 0);
 }
 
-engine::QuerySpec Controller::query_spec_for(const DatasetState& dataset,
-                                             std::size_t type_spec) const {
-  const auto& qt = dataset.bundle().query_types[type_spec];
-  engine::QuerySpec spec = engine::default_spec_for(qt.kind);
-  spec.dataset = dataset.dataset_id();
-  spec.query_type = dataset.cube_query_type(type_spec);
-  spec.intermediate_bytes_per_record = intermediate_record_bytes(dataset, spec);
-  return spec;
-}
-
-double Controller::intermediate_record_bytes(
-    const DatasetState& dataset, const engine::QuerySpec& spec) const {
+QueryJob make_query_job(const DatasetState& dataset, std::size_t type_spec,
+                        const ControllerOptions& options) {
+  BOHR_EXPECTS(type_spec < dataset.bundle().query_types.size());
+  const StrategyTraits traits = traits_of(options.strategy);
   // One synthetic row stands for bytes_per_row/physical_record_bytes real
-  // records; intermediate sizes scale by the same representation factor.
+  // records; intermediate sizes and machine work scale by the same
+  // representation factor.
   const double representation =
-      dataset.bundle().bytes_per_row / options_.physical_record_bytes;
-  return spec.intermediate_bytes_per_record * representation;
+      dataset.bundle().bytes_per_row / options.physical_record_bytes;
+
+  QueryJob job;
+  job.spec = engine::default_spec_for(
+      dataset.bundle().query_types[type_spec].kind);
+  job.spec.dataset = dataset.dataset_id();
+  job.spec.query_type = dataset.cube_query_type(type_spec);
+  job.spec.intermediate_bytes_per_record *= representation;
+
+  // The filter salt is fixed per (dataset, type), so every recurrence of
+  // the query selects the same rows.
+  const std::uint64_t salt =
+      hash_combine(dataset.dataset_id(), hash_combine(type_spec, 0xABCD));
+  job.inputs.reserve(dataset.site_count());
+  for (std::size_t i = 0; i < dataset.site_count(); ++i) {
+    job.inputs.push_back(
+        dataset.map_rows(i, type_spec, job.spec.selectivity, salt));
+  }
+
+  job.config = options.job;
+  job.config.partition_policy = traits.cubes
+                                    ? engine::PartitionPolicy::CubeSorted
+                                    : engine::PartitionPolicy::ArrivalOrder;
+  job.config.executor_assignment =
+      traits.rdd_similarity ? engine::ExecutorAssignment::SimilarityKMeans
+                            : engine::ExecutorAssignment::RoundRobin;
+  job.config.machine.record_scale = std::max(1.0, representation);
+  return job;
 }
 
 double Controller::profiled_reduction_ratio(
@@ -326,124 +345,58 @@ DatasetState& Controller::mutable_dataset(std::size_t idx) {
   return datasets_[idx];
 }
 
-std::vector<double> Controller::vanilla_reduce_fractions(
-    const DatasetState& dataset) const {
-  // Vanilla Spark runs reduce tasks where the data is.
-  std::vector<double> r(dataset.site_count(), 0.0);
-  double total = 0.0;
-  for (std::size_t i = 0; i < dataset.site_count(); ++i) {
-    r[i] = dataset.input_bytes_at(i);
-    total += r[i];
-  }
-  if (total <= 0.0) {
-    std::fill(r.begin(), r.end(), 1.0 / static_cast<double>(r.size()));
-    return r;
-  }
-  for (auto& ri : r) ri /= total;
-  return r;
-}
-
 std::vector<QueryExecution> Controller::run_all_queries() {
   const PrepareReport& prep = prepare();
-  const StrategyTraits traits = traits_of(options_.strategy);
-
-  engine::JobConfig job = options_.job;
-  job.partition_policy = traits.cubes ? engine::PartitionPolicy::CubeSorted
-                                      : engine::PartitionPolicy::ArrivalOrder;
-  job.executor_assignment = traits.rdd_similarity
-                                ? engine::ExecutorAssignment::SimilarityKMeans
-                                : engine::ExecutorAssignment::RoundRobin;
+  // Query-phase faults hit the shuffle; the runner takes the pristine
+  // path when the projection has no WAN events. The bucket settings are
+  // the base job's.
+  const QueryRound round{
+      .faults = &query_faults_,
+      .reduce_buckets = options_.job.reduce_buckets,
+      .bucket_speculation = options_.job.bucket_speculation,
+      .bucket_speculation_cap = options_.job.bucket_speculation_cap,
+  };
   // §8.5: LP solving time is included in QCT, amortized across the
   // recurring queries the one placement serves. The charge is the
   // modeled per-iteration cost, not wall-clock lp_seconds — simulated
   // QCT must not vary with host speed or thread count.
-  job.controller_overhead_seconds =
-      prep.decision.modeled_lp_seconds() / static_cast<double>(total_queries_);
-  // Query-phase faults hit the shuffle; the runner takes the pristine
-  // path when the projection has no WAN events.
-  job.faults = &query_faults_;
-
-  std::vector<QueryExecution> executions;
-  for (std::size_t a = 0; a < datasets_.size(); ++a) {
-    DatasetState& d = datasets_[a];
-    for (std::size_t t = 0; t < d.bundle().query_types.size(); ++t) {
-      const std::size_t recurrences = d.mix().counts[t];
-      if (recurrences == 0) continue;
-      const engine::QuerySpec spec = query_spec_for(d, t);
-      const std::uint64_t salt =
-          hash_combine(d.dataset_id(), hash_combine(t, 0xABCD));
-
-      std::vector<engine::RecordStream> inputs(d.site_count());
-      for (std::size_t i = 0; i < d.site_count(); ++i) {
-        inputs[i] = d.map_rows(i, t, spec.selectivity, salt);
-      }
-
-      engine::JobConfig dataset_job = job;
-      dataset_job.machine.record_scale = std::max(
-          1.0, d.bundle().bytes_per_row / options_.physical_record_bytes);
-
-      QueryExecution exec;
-      exec.dataset_id = d.dataset_id();
-      exec.query_type_spec = t;
-      exec.kind = spec.kind;
-      exec.recurrences = recurrences;
-      exec.result = engine::run_job(topology_, inputs,
-                                    prep.decision.reduce_fractions, spec,
-                                    dataset_job, rng_);
-      executions.push_back(std::move(exec));
-    }
-  }
-  return executions;
+  return run_mix(round, prep.decision.modeled_lp_seconds() /
+                            static_cast<double>(total_queries_));
 }
 
 std::vector<QueryExecution> Controller::run_query_round(
     const QueryRound& round) {
   BOHR_EXPECTS(prepared_.has_value());
+  return run_mix(round, 0.0);
+}
+
+std::vector<QueryExecution> Controller::run_mix(
+    const QueryRound& round, double controller_overhead_seconds) {
   const PrepareReport& prep = *prepared_;
-  const StrategyTraits traits = traits_of(options_.strategy);
-
-  engine::JobConfig job = options_.job;
-  job.partition_policy = traits.cubes ? engine::PartitionPolicy::CubeSorted
-                                      : engine::PartitionPolicy::ArrivalOrder;
-  job.executor_assignment = traits.rdd_similarity
-                                ? engine::ExecutorAssignment::SimilarityKMeans
-                                : engine::ExecutorAssignment::RoundRobin;
-  job.controller_overhead_seconds = 0.0;
-  job.faults = round.faults;
-  job.reduce_buckets = round.reduce_buckets;
-  job.bucket_speculation = round.bucket_speculation;
-  job.bucket_speculation_cap = round.bucket_speculation_cap;
-
   std::vector<QueryExecution> executions;
   for (std::size_t a = 0; a < datasets_.size(); ++a) {
-    DatasetState& d = datasets_[a];
+    const DatasetState& d = datasets_[a];
     for (std::size_t t = 0; t < d.bundle().query_types.size(); ++t) {
       const std::size_t recurrences = d.mix().counts[t];
       if (recurrences == 0) continue;
-      const engine::QuerySpec spec = query_spec_for(d, t);
-      const std::uint64_t salt =
-          hash_combine(d.dataset_id(), hash_combine(t, 0xABCD));
-
-      std::vector<engine::RecordStream> inputs(d.site_count());
-      for (std::size_t i = 0; i < d.site_count(); ++i) {
-        inputs[i] = d.map_rows(i, t, spec.selectivity, salt);
-      }
-
-      engine::JobConfig dataset_job = job;
-      dataset_job.machine.record_scale = std::max(
-          1.0, d.bundle().bytes_per_row / options_.physical_record_bytes);
+      QueryJob job = make_query_job(d, t, options_);
+      job.config.controller_overhead_seconds = controller_overhead_seconds;
+      job.config.faults = round.faults;
+      job.config.reduce_buckets = round.reduce_buckets;
+      job.config.bucket_speculation = round.bucket_speculation;
+      job.config.bucket_speculation_cap = round.bucket_speculation_cap;
 
       QueryExecution exec;
       exec.dataset_id = d.dataset_id();
       exec.query_type_spec = t;
-      exec.kind = spec.kind;
+      exec.kind = job.spec.kind;
       exec.recurrences = recurrences;
       if (round.degrade == nullptr) {
-        exec.result = engine::run_job(topology_, inputs,
-                                      prep.decision.reduce_fractions, spec,
-                                      dataset_job, rng_);
+        exec.result = engine::run_job(topology_, job.inputs,
+                                      prep.decision.reduce_fractions,
+                                      job.spec, job.config, rng_);
       } else {
-        run_degraded_query(round, a, t, inputs, spec, dataset_job, exec);
+        run_degraded_query(round, a, t, job, exec);
       }
       executions.push_back(std::move(exec));
     }
@@ -456,38 +409,17 @@ engine::JobResult Controller::run_single_query(
     const engine::ReduceBucketMap* reduce_buckets, Rng& rng) const {
   BOHR_EXPECTS(prepared_.has_value());
   BOHR_EXPECTS(dataset < datasets_.size());
-  const PrepareReport& prep = *prepared_;
-  const StrategyTraits traits = traits_of(options_.strategy);
-  const DatasetState& d = datasets_[dataset];
-  BOHR_EXPECTS(type_spec < d.bundle().query_types.size());
-
-  engine::JobConfig job = options_.job;
-  job.partition_policy = traits.cubes ? engine::PartitionPolicy::CubeSorted
-                                      : engine::PartitionPolicy::ArrivalOrder;
-  job.executor_assignment = traits.rdd_similarity
-                                ? engine::ExecutorAssignment::SimilarityKMeans
-                                : engine::ExecutorAssignment::RoundRobin;
-  job.controller_overhead_seconds = 0.0;
-  job.reduce_buckets = reduce_buckets;
-  job.machine.record_scale = std::max(
-      1.0, d.bundle().bytes_per_row / options_.physical_record_bytes);
-
-  const engine::QuerySpec spec = query_spec_for(d, type_spec);
-  const std::uint64_t salt =
-      hash_combine(d.dataset_id(), hash_combine(type_spec, 0xABCD));
-  std::vector<engine::RecordStream> inputs(d.site_count());
-  for (std::size_t i = 0; i < d.site_count(); ++i) {
-    inputs[i] = d.map_rows(i, type_spec, spec.selectivity, salt);
-  }
-  return engine::run_job(topology_, inputs, prep.decision.reduce_fractions,
-                         spec, job, rng);
+  QueryJob job = make_query_job(datasets_[dataset], type_spec, options_);
+  job.config.controller_overhead_seconds = 0.0;
+  job.config.reduce_buckets = reduce_buckets;
+  return engine::run_job(topology_, job.inputs,
+                         prepared_->decision.reduce_fractions, job.spec,
+                         job.config, rng);
 }
 
-void Controller::run_degraded_query(
-    const QueryRound& round, std::size_t a, std::size_t t,
-    const std::vector<engine::RecordStream>& inputs,
-    const engine::QuerySpec& spec, const engine::JobConfig& dataset_job,
-    QueryExecution& exec) {
+void Controller::run_degraded_query(const QueryRound& round, std::size_t a,
+                                    std::size_t t, const QueryJob& job,
+                                    QueryExecution& exec) {
   const PrepareReport& prep = *prepared_;
   const DegradationService& degrade = *round.degrade;
   const DegradeOptions& opts = degrade.options();
@@ -521,10 +453,10 @@ void Controller::run_degraded_query(
           shifted_storage = round.faults->shifted_by(offset);
           used_plan = &shifted_storage;
         }
-        engine::JobConfig jc = dataset_job;
+        engine::JobConfig jc = job.config;
         jc.faults = used_plan;
-        jr = engine::run_job(topology_, inputs,
-                             prep.decision.reduce_fractions, spec, jc,
+        jr = engine::run_job(topology_, job.inputs,
+                             prep.decision.reduce_fractions, job.spec, jc,
                              rng_);
         return shuffle_makespan(jr);
       });
@@ -541,12 +473,12 @@ void Controller::run_degraded_query(
     // last attempt with a finite reduce deadline so the engine drops
     // the buckets/shares that cannot finish — QCT is bounded by the
     // budget instead of the fault horizon.
-    engine::JobConfig jc = dataset_job;
+    engine::JobConfig jc = job.config;
     jc.faults = used_plan;
     jc.reduce_deadline_seconds =
         std::max(1e-9, makespan + rd.window_seconds);
-    jr = engine::run_job(topology_, inputs, prep.decision.reduce_fractions,
-                         spec, jc, rng_);
+    jr = engine::run_job(topology_, job.inputs,
+                         prep.decision.reduce_fractions, job.spec, jc, rng_);
     jr.qct_seconds = std::min(jr.qct_seconds, budget.spent_seconds());
   }
   exec.result = jr;

@@ -40,6 +40,22 @@ struct ControllerOptions {
   bool enforce_lag_deadline = false;
 };
 
+/// One (dataset, query type) as an engine job: the query spec, each
+/// site's mapped input stream and the job config the strategy implies.
+/// Run-specific knobs (faults, reduce buckets, LP overhead) are left as
+/// `ControllerOptions::job` has them; the caller sets them.
+struct QueryJob {
+  engine::QuerySpec spec;
+  std::vector<engine::RecordStream> inputs;  ///< one per site
+  engine::JobConfig config;
+};
+
+/// The only place a (dataset, query type) becomes an engine job. Pure:
+/// mapping draws no RNG, so the job depends only on the dataset's
+/// current rows and `options`.
+QueryJob make_query_job(const DatasetState& dataset, std::size_t type_spec,
+                        const ControllerOptions& options);
+
 /// Fault accounting for one controller run: what the plan injected and
 /// which degraded modes the control plane actually took.
 struct FaultReport {
@@ -196,27 +212,21 @@ class Controller {
   /// over its query mix (the paper profiles this from prior runs).
   double profiled_reduction_ratio(const DatasetState& dataset) const;
 
-  /// Intermediate record size on the wire for a query over a dataset.
-  double intermediate_record_bytes(const DatasetState& dataset,
-                                   const engine::QuerySpec& spec) const;
-
   /// Builds the placement-problem inputs from current dataset state.
   PlacementProblem build_placement_problem() const;
 
  private:
+  /// Every active (dataset, type) of the mix once, in mix order, each
+  /// drawing rng_ in that order: the loop behind run_all_queries and
+  /// run_query_round.
+  std::vector<QueryExecution> run_mix(const QueryRound& round,
+                                      double controller_overhead_seconds);
+
   /// One query under the degradation ladder: deadline-budgeted engine
   /// run (retries, partial close-out) plus the value-plane answer.
   void run_degraded_query(const QueryRound& round, std::size_t a,
-                          std::size_t t,
-                          const std::vector<engine::RecordStream>& inputs,
-                          const engine::QuerySpec& spec,
-                          const engine::JobConfig& dataset_job,
+                          std::size_t t, const QueryJob& job,
                           QueryExecution& exec);
-
-  engine::QuerySpec query_spec_for(const DatasetState& dataset,
-                                   std::size_t type_spec) const;
-  std::vector<double> vanilla_reduce_fractions(
-      const DatasetState& dataset) const;
 
   net::WanTopology topology_;
   std::vector<DatasetState> datasets_;

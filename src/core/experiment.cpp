@@ -75,31 +75,25 @@ std::vector<double> vanilla_baseline(const ExperimentConfig& config,
   std::vector<double> site_bytes(topo.site_count(), 0.0);
   Rng rng(hash_combine(config.seed, 0x5A1AD));
   std::vector<DatasetState> states = make_states(inputs, /*with_cubes=*/false);
+  // Vanilla Spark maps and partitions like Iridium: no cubes, so
+  // arrival-order partitions and round-robin executors.
+  const ControllerOptions options =
+      make_controller_options(config, Strategy::Iridium);
   for (auto& d : states) {
     for (std::size_t t = 0; t < d.bundle().query_types.size(); ++t) {
       const std::size_t recurrences = d.mix().counts[t];
       if (recurrences == 0) continue;
-      engine::QuerySpec spec =
-          engine::default_spec_for(d.bundle().query_types[t].kind);
-      const double rep_bytes =
-          spec.intermediate_bytes_per_record *
-          (d.bundle().bytes_per_row / config.physical_record_bytes);
-      const std::uint64_t salt =
-          hash_combine(d.dataset_id(), hash_combine(t, 0xABCD));
+      const QueryJob job = make_query_job(d, t, options);
       for (std::size_t i = 0; i < d.site_count(); ++i) {
-        const engine::RecordStream input =
-            d.map_rows(i, t, spec.selectivity, salt);
         const auto partitions =
-            engine::make_partitions(input, config.job.partition_records,
-                                    engine::PartitionPolicy::ArrivalOrder);
-        engine::MachineConfig machine = config.job.machine;
-        machine.record_scale = std::max(
-            1.0, d.bundle().bytes_per_row / config.physical_record_bytes);
+            engine::make_partitions(job.inputs[i], job.config.partition_records,
+                                    job.config.partition_policy);
         engine::LocalStageResult local = engine::run_local_stage(
-            partitions, machine, engine::ExecutorAssignment::RoundRobin,
-            spec.op, spec.compute_multiplier, config.job.dimsum, rng);
+            partitions, job.config.machine, job.config.executor_assignment,
+            job.spec.op, job.spec.compute_multiplier, job.config.dimsum, rng);
         site_bytes[i] += static_cast<double>(local.shuffle_input.size()) *
-                         rep_bytes * static_cast<double>(recurrences);
+                         job.spec.intermediate_bytes_per_record *
+                         static_cast<double>(recurrences);
       }
     }
   }
@@ -320,13 +314,6 @@ DynamicRunResult run_dynamic_experiment(const ExperimentConfig& config,
   const ControllerOptions options =
       make_controller_options(config, Strategy::Bohr);
   Rng rng(options.seed);
-  engine::JobConfig job = config.job;
-  job.partition_policy = engine::PartitionPolicy::CubeSorted;
-  job.executor_assignment = engine::ExecutorAssignment::SimilarityKMeans;
-  job.machine.record_scale = std::max(
-      1.0, (config.generator.gb_per_site * 1e9 /
-            static_cast<double>(config.generator.rows_per_site)) /
-               config.physical_record_bytes);
 
   auto plan_and_move = [&](std::vector<DatasetState>& ds) {
     PlacementProblem problem;
@@ -393,20 +380,10 @@ DynamicRunResult run_dynamic_experiment(const ExperimentConfig& config,
       }
     }
 
-    engine::QuerySpec spec =
-        engine::default_spec_for(d.bundle().query_types[t].kind);
-    spec.dataset = d.dataset_id();
-    spec.query_type = d.cube_query_type(t);
-    spec.intermediate_bytes_per_record *=
-        d.bundle().bytes_per_row / config.physical_record_bytes;
-    const std::uint64_t salt =
-        hash_combine(d.dataset_id(), hash_combine(t, 0xABCD));
-    std::vector<engine::RecordStream> site_inputs(d.site_count());
-    for (std::size_t i = 0; i < d.site_count(); ++i) {
-      site_inputs[i] = d.map_rows(i, t, spec.selectivity, salt);
-    }
-    const engine::JobResult res = engine::run_job(
-        topo, site_inputs, decision.reduce_fractions, spec, job, rng);
+    const QueryJob job = make_query_job(d, t, options);
+    const engine::JobResult res =
+        engine::run_job(topo, job.inputs, decision.reduce_fractions, job.spec,
+                        job.config, rng);
     qct.add(res.qct_seconds);
     ++result.queries_run;
 

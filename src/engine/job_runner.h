@@ -17,7 +17,10 @@ namespace bohr::engine {
 
 struct JobConfig {
   MachineConfig machine;
-  std::size_t partition_records = 4096;
+  /// Small enough that a site holding a few hundred mapped rows still
+  /// splits into several partitions, which the §6 RDD-similarity
+  /// executor assignment needs to have anything to cluster.
+  std::size_t partition_records = 24;
   PartitionPolicy partition_policy = PartitionPolicy::ArrivalOrder;
   ExecutorAssignment executor_assignment = ExecutorAssignment::RoundRobin;
   similarity::DimsumParams dimsum;

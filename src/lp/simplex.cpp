@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
 #include <utility>
 
 #include "common/check.h"
@@ -14,16 +12,6 @@
 namespace bohr::lp {
 
 namespace {
-
-Engine resolve_engine(Engine engine) {
-  if (engine != Engine::Auto) return engine;
-  if (const char* env = std::getenv("BOHR_LP")) {
-    const std::string_view v(env);
-    if (v == "dense") return Engine::Dense;
-    if (v == "revised") return Engine::Revised;
-  }
-  return Engine::Revised;
-}
 
 std::size_t auto_max_iterations(const SimplexOptions& options, std::size_t rows,
                                 std::size_t cols) {
@@ -635,7 +623,7 @@ LpSolution solve(const LpProblem& problem, const SimplexOptions& options) {
 LpSolution solve(const LpProblem& problem, const SimplexOptions& options,
                  const Basis* warm_start) {
   const StandardForm sf = standardize(problem);
-  if (resolve_engine(options.engine) == Engine::Dense) {
+  if (options.engine == Engine::Dense) {
     return solve_dense(problem, sf, options);
   }
   return solve_revised(problem, sf, options, warm_start);

@@ -22,10 +22,10 @@ namespace bohr::lp {
 
 enum class SolveStatus { Optimal, Infeasible, Unbounded, IterationLimit };
 
-/// Which simplex implementation to run. Auto resolves through the
-/// BOHR_LP environment variable ("dense" or "revised"), defaulting to
-/// Revised.
-enum class Engine { Auto, Dense, Revised };
+/// Which simplex implementation to run. Revised is the solver; the
+/// dense tableau is kept as the reference oracle the LP tests diff it
+/// against.
+enum class Engine { Dense, Revised };
 
 /// A simplex basis: the basic padded column (structural | slack/surplus
 /// | artificial, in standard-form order) per constraint row. Returned
@@ -71,8 +71,7 @@ struct SimplexOptions {
   /// Switch from Dantzig to Bland pricing after this many degenerate
   /// pivots in a row (guarantees termination).
   std::size_t bland_after = 64;
-  /// Engine selection; Auto consults BOHR_LP, defaulting to Revised.
-  Engine engine = Engine::Auto;
+  Engine engine = Engine::Revised;
   /// Revised engine: refactorize the basis after this many eta updates.
   std::size_t refactor_interval = 64;
   /// Revised engine: above this many padded columns, Dantzig pricing

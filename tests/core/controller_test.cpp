@@ -136,11 +136,64 @@ TEST(ControllerTest, MovementConservesRows) {
 TEST(ControllerTest, IntermediateRecordBytesScaleWithRowSize) {
   Controller c = make_controller(Strategy::Bohr, 1);
   const auto& d = c.datasets().front();
-  engine::QuerySpec spec = engine::default_spec_for(engine::QueryKind::Udf);
-  const double bytes = c.intermediate_record_bytes(d, spec);
-  const double representation = d.bundle().bytes_per_row / 256.0;
-  EXPECT_DOUBLE_EQ(bytes,
-                   spec.intermediate_bytes_per_record * representation);
+  for (std::size_t t = 0; t < d.bundle().query_types.size(); ++t) {
+    const QueryJob job = make_query_job(d, t, c.options());
+    const engine::QuerySpec spec =
+        engine::default_spec_for(d.bundle().query_types[t].kind);
+    const double representation = d.bundle().bytes_per_row / 256.0;
+    EXPECT_DOUBLE_EQ(job.spec.intermediate_bytes_per_record,
+                     spec.intermediate_bytes_per_record * representation);
+  }
+}
+
+// run_single_query, run_query_round and run_all_queries build every job
+// through make_query_job and draw the controller's RNG in mix order, so
+// replaying single queries reproduces a round exactly, and the full run
+// differs from the round only by the amortized LP charge.
+TEST(ControllerTest, EntryPointsShareOneQueryPath) {
+  Controller round_side = make_controller(Strategy::Bohr);
+  Controller all_side = make_controller(Strategy::Bohr);
+  round_side.prepare();
+  all_side.prepare();
+
+  Rng replay;
+  replay.restore(round_side.rng_state());
+  std::vector<engine::JobResult> singles;
+  for (std::size_t a = 0; a < round_side.datasets().size(); ++a) {
+    const auto& counts = round_side.datasets()[a].mix().counts;
+    for (std::size_t t = 0; t < counts.size(); ++t) {
+      if (counts[t] == 0) continue;
+      singles.push_back(round_side.run_single_query(a, t, nullptr, replay));
+    }
+  }
+  const auto round = round_side.run_query_round({});
+  const auto all = all_side.run_all_queries();
+  ASSERT_EQ(round.size(), singles.size());
+  ASSERT_EQ(all.size(), singles.size());
+
+  std::size_t total_queries = 0;
+  for (const auto& d : all_side.datasets()) {
+    total_queries += d.mix().total_queries();
+  }
+  const double lp_charge =
+      all_side.prepare_report().decision.modeled_lp_seconds() /
+      static_cast<double>(total_queries);
+  EXPECT_GT(lp_charge, 0.0);
+  for (std::size_t q = 0; q < singles.size(); ++q) {
+    const engine::JobResult& r = round[q].result;
+    EXPECT_EQ(singles[q].qct_seconds, r.qct_seconds);
+    EXPECT_EQ(all[q].result.qct_seconds, r.qct_seconds + lp_charge);
+    EXPECT_EQ(all[q].dataset_id, round[q].dataset_id);
+    EXPECT_EQ(all[q].query_type_spec, round[q].query_type_spec);
+    const engine::JobResult* others[] = {&singles[q], &all[q].result};
+    for (const engine::JobResult* other : others) {
+      EXPECT_EQ(other->wan_shuffle_bytes, r.wan_shuffle_bytes);
+      ASSERT_EQ(other->sites.size(), r.sites.size());
+      for (std::size_t i = 0; i < r.sites.size(); ++i) {
+        EXPECT_EQ(other->sites[i].shuffle_bytes, r.sites[i].shuffle_bytes);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -186,7 +186,6 @@ int main(int argc, char** argv) {
     const std::int64_t executors = flags.get_int("executors", 4);
     require(executors > 0, "--executors must be positive");
     cfg.job.machine.executors = static_cast<std::size_t>(executors);
-    cfg.job.partition_records = 24;
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 20181204));
     cfg.enforce_lag_deadline = flags.get_bool("enforce-lag", false);
     const std::int64_t threads = flags.get_int(

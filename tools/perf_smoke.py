@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Perf smoke gate for single-thread hot paths.
+"""Perf smoke gate for single-thread hot paths and modeled-time series.
 
 Compares a fresh BENCH_<name>.json (written by a bench binary that must
 run with --threads=1 so the gate measures per-core speed, not
-parallelism) against a checked-in baseline, and fails if the summed time
-regresses more than the threshold.
+parallelism) against a checked-in baseline. Wall-time series fail if the
+summed time regresses more than the threshold; modeled-time series fail
+if any case moves in either direction.
 
 The checked-in baselines (bench/baselines/) hold PRE-optimization
 numbers, so each gate enforces "the rewrite's win never quietly erodes":
@@ -18,9 +19,10 @@ Gated series (selected with --key):
                          dense-tableau baseline
   p99_by_load            — serving-loop p99 QCT by offered load. These
                          are modeled virtual-time seconds (host- and
-                         build-independent), so this gate is a model
-                         drift alarm: any change to the serving or
-                         engine model that moves the tail >20% trips it
+                         build-independent), so every load point must
+                         match the baseline within a relative 1e-6, in
+                         both directions: a model change that moves the
+                         tail up or collapses it trips the gate
 
 Usage:
   perf_smoke.py CURRENT_JSON BASELINE_JSON [--threshold 0.20] [--key KEY]
@@ -31,6 +33,10 @@ Exit status: 0 pass, 1 regression, 2 usage/malformed input.
 import argparse
 import json
 import sys
+
+# Modeled-time series: deterministic, so gated per case and two-sided.
+EXACT_KEYS = {"p99_by_load"}
+EXACT_REL_TOL = 1e-6
 
 
 def load_rows(path, key):
@@ -60,7 +66,8 @@ def main():
     parser.add_argument("current")
     parser.add_argument("baseline")
     parser.add_argument("--threshold", type=float, default=0.20,
-                        help="allowed fractional regression (default 0.20)")
+                        help="allowed fractional regression of a wall-time "
+                        "sum (default 0.20)")
     parser.add_argument("--key", default="checking_seconds_by_k",
                         help="JSON field holding the case -> seconds map")
     args = parser.parse_args()
@@ -87,6 +94,20 @@ def main():
         ratio = current[k] / baseline[k] if baseline[k] > 0 else float("inf")
         print(f"{k:>{width}} {baseline[k]:>14.6f} {current[k]:>14.6f} "
               f"{ratio:>8.2f}")
+
+    if args.key in EXACT_KEYS:
+        unmatched = sorted(set(baseline) ^ set(current))
+        drifted = [k for k in shared
+                   if abs(current[k] - baseline[k]) >
+                   EXACT_REL_TOL * abs(baseline[k])]
+        if unmatched or drifted:
+            print(f"perf_smoke: FAIL — {args.key} differs from baseline "
+                  f"(relative tolerance {EXACT_REL_TOL:g}); drifted: "
+                  f"{drifted}, unmatched cases: {unmatched}", file=sys.stderr)
+            sys.exit(1)
+        print(f"perf_smoke: PASS — every case within relative "
+              f"{EXACT_REL_TOL:g} of baseline")
+        sys.exit(0)
 
     base_total = sum(baseline[k] for k in shared)
     cur_total = sum(current[k] for k in shared)
