@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <mutex>
 #include <utility>
 
 #include "common/check.h"
@@ -10,6 +11,45 @@
 #include "engine/partitioner.h"
 
 namespace bohr::core {
+
+/// One (dataset, type) ready to run: make_query_job's job, plus every
+/// site's stage when building the stages drew no RNG. Such a plan keeps
+/// the stages and drops the mapped inputs; without stages (round-robin
+/// assignment) every run rebuilds them from the inputs.
+struct Controller::QueryPlan {
+  QueryJob job;  ///< inputs released once `stages` is built
+  std::vector<engine::SiteStage> stages;
+};
+
+/// One plan slot per (dataset, type), filled at most once; concurrent
+/// first touches of a slot build it once and all see the same plan.
+class Controller::PlanCache {
+ public:
+  explicit PlanCache(const std::vector<DatasetState>& datasets) {
+    std::size_t slots = 0;
+    for (const DatasetState& d : datasets) {
+      first_slot_.push_back(slots);
+      slots += d.bundle().query_types.size();
+    }
+    slots_ = std::make_unique<Slot[]>(slots);
+  }
+
+  template <typename Build>
+  std::shared_ptr<const QueryPlan> get(std::size_t a, std::size_t t,
+                                       const Build& build) {
+    Slot& slot = slots_[first_slot_[a] + t];
+    std::call_once(slot.once, [&] { slot.plan = build(); });
+    return slot.plan;
+  }
+
+ private:
+  struct Slot {
+    std::once_flag once;
+    std::shared_ptr<const QueryPlan> plan;
+  };
+  std::vector<std::size_t> first_slot_;
+  std::unique_ptr<Slot[]> slots_;
+};
 
 Controller::Controller(net::WanTopology topology,
                        std::vector<DatasetState> datasets,
@@ -19,7 +59,8 @@ Controller::Controller(net::WanTopology topology,
       options_(options),
       probe_faults_(options.faults.restricted_to(net::kPhaseProbe)),
       query_faults_(options.faults.restricted_to(net::kPhaseQuery)),
-      rng_(options.seed) {
+      rng_(options.seed),
+      plans_(std::make_unique<PlanCache>(datasets_)) {
   BOHR_EXPECTS(!datasets_.empty());
   options_.faults.validate();
   const StrategyTraits traits = traits_of(options_.strategy);
@@ -30,6 +71,10 @@ Controller::Controller(net::WanTopology topology,
   }
   BOHR_EXPECTS(total_queries_ > 0);
 }
+
+Controller::Controller(Controller&&) noexcept = default;
+Controller& Controller::operator=(Controller&&) noexcept = default;
+Controller::~Controller() = default;
 
 QueryJob make_query_job(const DatasetState& dataset, std::size_t type_spec,
                         const ControllerOptions& options) {
@@ -301,6 +346,7 @@ void Controller::step_execute_movement(PrepareProgress& progress) {
     report.faults.rows_truncated += applied.rows_truncated;
     report.faults.deadline_shortfall_bytes += applied.shortfall_bytes;
   }
+  plans_ = std::make_unique<PlanCache>(datasets_);
   report.movement_within_lag =
       report.movement_seconds <= options_.lag_seconds + 1e-9;
 
@@ -342,7 +388,45 @@ void Controller::restore_similarity(std::vector<DatasetSimilarity> sims) {
 
 DatasetState& Controller::mutable_dataset(std::size_t idx) {
   BOHR_EXPECTS(idx < datasets_.size());
+  plans_ = std::make_unique<PlanCache>(datasets_);
   return datasets_[idx];
+}
+
+std::shared_ptr<const Controller::QueryPlan> Controller::plan_for(
+    std::size_t a, std::size_t t) const {
+  BOHR_EXPECTS(prepared_.has_value());
+  BOHR_EXPECTS(a < datasets_.size());
+  BOHR_EXPECTS(t < datasets_[a].bundle().query_types.size());
+  // A plan's stages are reusable only if building them drew no RNG: under
+  // k-means executor assignment (the RDD-similarity strategies).
+  const bool cacheable = traits_of(options_.strategy).rdd_similarity;
+  const auto build = [&]() -> std::shared_ptr<const QueryPlan> {
+    auto plan = std::make_shared<QueryPlan>();
+    plan->job = make_query_job(datasets_[a], t, options_);
+    if (!cacheable) return plan;
+    constexpr std::uint64_t kUnusedSeed = 0;
+    Rng unused(kUnusedSeed);
+    for (const engine::RecordStream& input : plan->job.inputs) {
+      plan->stages.push_back(engine::run_site_stage(
+          input, plan->job.spec, plan->job.config, unused));
+    }
+    BOHR_CHECK(unused() == Rng(kUnusedSeed)());
+    plan->job.inputs = {};
+    return plan;
+  };
+  return cacheable ? plans_->get(a, t, build) : build();
+}
+
+engine::JobResult Controller::run_plan(const QueryPlan& plan,
+                                       const engine::JobConfig& config,
+                                       Rng& rng) const {
+  const std::vector<double>& fractions = prepared_->decision.reduce_fractions;
+  if (plan.stages.empty()) {
+    return engine::run_job(topology_, plan.job.inputs, fractions,
+                           plan.job.spec, config, rng);
+  }
+  return engine::run_job_from_stages(topology_, plan.stages, fractions,
+                                     plan.job.spec, config, rng);
 }
 
 std::vector<QueryExecution> Controller::run_all_queries() {
@@ -372,31 +456,29 @@ std::vector<QueryExecution> Controller::run_query_round(
 
 std::vector<QueryExecution> Controller::run_mix(
     const QueryRound& round, double controller_overhead_seconds) {
-  const PrepareReport& prep = *prepared_;
   std::vector<QueryExecution> executions;
   for (std::size_t a = 0; a < datasets_.size(); ++a) {
     const DatasetState& d = datasets_[a];
     for (std::size_t t = 0; t < d.bundle().query_types.size(); ++t) {
       const std::size_t recurrences = d.mix().counts[t];
       if (recurrences == 0) continue;
-      QueryJob job = make_query_job(d, t, options_);
-      job.config.controller_overhead_seconds = controller_overhead_seconds;
-      job.config.faults = round.faults;
-      job.config.reduce_buckets = round.reduce_buckets;
-      job.config.bucket_speculation = round.bucket_speculation;
-      job.config.bucket_speculation_cap = round.bucket_speculation_cap;
+      const std::shared_ptr<const QueryPlan> plan = plan_for(a, t);
+      engine::JobConfig config = plan->job.config;
+      config.controller_overhead_seconds = controller_overhead_seconds;
+      config.faults = round.faults;
+      config.reduce_buckets = round.reduce_buckets;
+      config.bucket_speculation = round.bucket_speculation;
+      config.bucket_speculation_cap = round.bucket_speculation_cap;
 
       QueryExecution exec;
       exec.dataset_id = d.dataset_id();
       exec.query_type_spec = t;
-      exec.kind = job.spec.kind;
+      exec.kind = plan->job.spec.kind;
       exec.recurrences = recurrences;
       if (round.degrade == nullptr) {
-        exec.result = engine::run_job(topology_, job.inputs,
-                                      prep.decision.reduce_fractions,
-                                      job.spec, job.config, rng_);
+        exec.result = run_plan(*plan, config, rng_);
       } else {
-        run_degraded_query(round, a, t, job, exec);
+        run_degraded_query(round, a, t, *plan, config, exec);
       }
       executions.push_back(std::move(exec));
     }
@@ -407,20 +489,17 @@ std::vector<QueryExecution> Controller::run_mix(
 engine::JobResult Controller::run_single_query(
     std::size_t dataset, std::size_t type_spec,
     const engine::ReduceBucketMap* reduce_buckets, Rng& rng) const {
-  BOHR_EXPECTS(prepared_.has_value());
-  BOHR_EXPECTS(dataset < datasets_.size());
-  QueryJob job = make_query_job(datasets_[dataset], type_spec, options_);
-  job.config.controller_overhead_seconds = 0.0;
-  job.config.reduce_buckets = reduce_buckets;
-  return engine::run_job(topology_, job.inputs,
-                         prepared_->decision.reduce_fractions, job.spec,
-                         job.config, rng);
+  const std::shared_ptr<const QueryPlan> plan = plan_for(dataset, type_spec);
+  engine::JobConfig config = plan->job.config;
+  config.controller_overhead_seconds = 0.0;
+  config.reduce_buckets = reduce_buckets;
+  return run_plan(*plan, config, rng);
 }
 
 void Controller::run_degraded_query(const QueryRound& round, std::size_t a,
-                                    std::size_t t, const QueryJob& job,
+                                    std::size_t t, const QueryPlan& plan,
+                                    const engine::JobConfig& config,
                                     QueryExecution& exec) {
-  const PrepareReport& prep = *prepared_;
   const DegradationService& degrade = *round.degrade;
   const DegradeOptions& opts = degrade.options();
   const std::size_t n = topology_.site_count();
@@ -453,11 +532,9 @@ void Controller::run_degraded_query(const QueryRound& round, std::size_t a,
           shifted_storage = round.faults->shifted_by(offset);
           used_plan = &shifted_storage;
         }
-        engine::JobConfig jc = job.config;
+        engine::JobConfig jc = config;
         jc.faults = used_plan;
-        jr = engine::run_job(topology_, job.inputs,
-                             prep.decision.reduce_fractions, job.spec, jc,
-                             rng_);
+        jr = run_plan(plan, jc, rng_);
         return shuffle_makespan(jr);
       });
   const double makespan = std::min(shuffle_makespan(jr), sh.window_seconds);
@@ -473,12 +550,11 @@ void Controller::run_degraded_query(const QueryRound& round, std::size_t a,
     // last attempt with a finite reduce deadline so the engine drops
     // the buckets/shares that cannot finish — QCT is bounded by the
     // budget instead of the fault horizon.
-    engine::JobConfig jc = job.config;
+    engine::JobConfig jc = config;
     jc.faults = used_plan;
     jc.reduce_deadline_seconds =
         std::max(1e-9, makespan + rd.window_seconds);
-    jr = engine::run_job(topology_, job.inputs,
-                         prep.decision.reduce_fractions, job.spec, jc, rng_);
+    jr = run_plan(plan, jc, rng_);
     jr.qct_seconds = std::min(jr.qct_seconds, budget.spent_seconds());
   }
   exec.result = jr;

@@ -3,6 +3,7 @@
 // schemes of §8.1.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -121,6 +122,9 @@ class Controller {
  public:
   Controller(net::WanTopology topology, std::vector<DatasetState> datasets,
              ControllerOptions options);
+  Controller(Controller&&) noexcept;
+  Controller& operator=(Controller&&) noexcept;
+  ~Controller();
 
   /// Runs everything that happens in the lag before queries arrive:
   /// similarity checking (if the strategy uses it), placement (heuristic
@@ -148,6 +152,8 @@ class Controller {
   void restore_similarity(std::vector<DatasetSimilarity> sims);
   Rng::State rng_state() const { return rng_.state(); }
   void restore_rng(const Rng::State& s) { rng_.restore(s); }
+  /// Drops every cached query plan; a reference kept past the next query
+  /// must not be used to mutate the dataset.
   DatasetState& mutable_dataset(std::size_t idx);
 
   /// Executes every dataset's query mix once per query type; recurrences
@@ -183,8 +189,8 @@ class Controller {
   /// One (dataset, query-type) execution for the online serving loop:
   /// the same per-dataset job config as run_query_round, but const and
   /// re-entrant — concurrent serving batches call this on shared
-  /// controller state, each thread with its own caller-owned Rng
-  /// stream. `reduce_buckets` (nullable) stands in for the prepared LP
+  /// controller state (the plan cache included), each thread with its
+  /// own caller-owned Rng stream. `reduce_buckets` (nullable) stands in for the prepared LP
   /// fractions exactly like the churn rounds, so the serving loop can
   /// hand each batch the bucket map of its admission epoch. prepare()
   /// must have completed. No fault plan and no degradation ladder: the
@@ -216,6 +222,20 @@ class Controller {
   PlacementProblem build_placement_problem() const;
 
  private:
+  struct QueryPlan;
+  class PlanCache;
+
+  /// The plan for (dataset a, type t). Under k-means executor assignment
+  /// it is cached: built on first use after prepare(), then shared until
+  /// the datasets change. Otherwise it is built afresh on every call.
+  std::shared_ptr<const QueryPlan> plan_for(std::size_t a,
+                                            std::size_t t) const;
+
+  /// One engine run of `plan` under `config` (the plan's config with the
+  /// caller's run-specific knobs), drawing from `rng`.
+  engine::JobResult run_plan(const QueryPlan& plan,
+                             const engine::JobConfig& config, Rng& rng) const;
+
   /// Every active (dataset, type) of the mix once, in mix order, each
   /// drawing rng_ in that order: the loop behind run_all_queries and
   /// run_query_round.
@@ -223,9 +243,11 @@ class Controller {
                                       double controller_overhead_seconds);
 
   /// One query under the degradation ladder: deadline-budgeted engine
-  /// run (retries, partial close-out) plus the value-plane answer.
+  /// runs of `plan` under `config` (retries, partial close-out) plus the
+  /// value-plane answer.
   void run_degraded_query(const QueryRound& round, std::size_t a,
-                          std::size_t t, const QueryJob& job,
+                          std::size_t t, const QueryPlan& plan,
+                          const engine::JobConfig& config,
                           QueryExecution& exec);
 
   net::WanTopology topology_;
@@ -239,6 +261,9 @@ class Controller {
   std::optional<PrepareReport> prepared_;
   std::size_t total_queries_ = 0;
   Rng rng_;
+  /// One slot per (dataset, type); behind a pointer so the controller
+  /// stays movable. Replaced whenever the datasets change.
+  std::unique_ptr<PlanCache> plans_;
 };
 
 }  // namespace bohr::core

@@ -85,13 +85,9 @@ std::vector<double> vanilla_baseline(const ExperimentConfig& config,
       if (recurrences == 0) continue;
       const QueryJob job = make_query_job(d, t, options);
       for (std::size_t i = 0; i < d.site_count(); ++i) {
-        const auto partitions =
-            engine::make_partitions(job.inputs[i], job.config.partition_records,
-                                    job.config.partition_policy);
-        engine::LocalStageResult local = engine::run_local_stage(
-            partitions, job.config.machine, job.config.executor_assignment,
-            job.spec.op, job.spec.compute_multiplier, job.config.dimsum, rng);
-        site_bytes[i] += static_cast<double>(local.shuffle_input.size()) *
+        const engine::SiteStage stage =
+            engine::run_site_stage(job.inputs[i], job.spec, job.config, rng);
+        site_bytes[i] += static_cast<double>(stage.shuffle_records) *
                          job.spec.intermediate_bytes_per_record *
                          static_cast<double>(recurrences);
       }

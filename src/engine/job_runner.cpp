@@ -15,13 +15,27 @@ double JobResult::total_shuffle_bytes() const {
   return total;
 }
 
-JobResult run_job(const net::WanTopology& topo,
-                  const std::vector<RecordStream>& site_inputs,
-                  const std::vector<double>& reduce_fractions,
-                  const QuerySpec& spec, const JobConfig& config,
+namespace {
+
+/// One site's map finish for this run: its RDD check plus its slowest
+/// executor after the straggler draw.
+double map_finish(const SiteStage& stage, const MachineConfig& machine,
                   bohr::Rng& rng) {
+  return stage.rdd_check_seconds +
+         draw_stragglers(stage.executor_seconds, machine, rng)
+             .slowest_seconds;
+}
+
+/// All-to-all shuffle of every site's combined map output, starting at
+/// its map finish, then the reduce.
+JobResult shuffle_and_reduce(const net::WanTopology& topo,
+                             const std::vector<SiteStage>& stages,
+                             const std::vector<double>& map_finishes,
+                             const std::vector<double>& reduce_fractions,
+                             const QuerySpec& spec, const JobConfig& config) {
   const std::size_t n = topo.site_count();
-  BOHR_EXPECTS(site_inputs.size() == n);
+  BOHR_EXPECTS(stages.size() == n);
+  BOHR_EXPECTS(map_finishes.size() == n);
   BOHR_EXPECTS(reduce_fractions.size() == n);
   config.machine.validate();
   // Bucket-granular mode: ownership counts define the fractions (the
@@ -42,22 +56,16 @@ JobResult run_job(const net::WanTopology& topo,
 
   JobResult result;
   result.sites.resize(n);
-
-  // ---- Local stage: map + per-partition combine per site ---------------
   for (net::SiteId i = 0; i < n; ++i) {
-    result.sites[i].input_records = site_inputs[i].size();
-    const auto partitions = make_partitions(
-        site_inputs[i], config.partition_records, config.partition_policy);
-    LocalStageResult local = run_local_stage(
-        partitions, config.machine, config.executor_assignment, spec.op,
-        spec.compute_multiplier, config.dimsum, rng);
-    result.sites[i].map_finish_seconds = local.stage_seconds;
-    result.sites[i].shuffle_records = local.shuffle_input.size();
-    result.sites[i].shuffle_bytes =
-        static_cast<double>(local.shuffle_input.size()) *
-        spec.intermediate_bytes_per_record;
-    result.sites[i].exchanged_records = local.exchanged_records;
-    result.sites[i].rdd_check_seconds = local.rdd_check_seconds;
+    const SiteStage& stage = stages[i];
+    SiteJobMetrics& site = result.sites[i];
+    site.input_records = stage.input_records;
+    site.map_finish_seconds = map_finishes[i];
+    site.shuffle_records = stage.shuffle_records;
+    site.shuffle_bytes = static_cast<double>(stage.shuffle_records) *
+                         spec.intermediate_bytes_per_record;
+    site.exchanged_records = stage.exchanged_records;
+    site.rdd_check_seconds = stage.rdd_check_seconds;
   }
 
   // ---- Shuffle: all-to-all flows f_i * r_j, starting at map finish -----
@@ -219,6 +227,54 @@ JobResult run_job(const net::WanTopology& topo,
   result.shuffle_seconds = std::max(0.0, qct - slowest_map);
   result.qct_seconds = qct + config.controller_overhead_seconds;
   return result;
+}
+
+}  // namespace
+
+SiteStage run_site_stage(const RecordStream& input, const QuerySpec& spec,
+                         const JobConfig& config, bohr::Rng& rng) {
+  const auto partitions = make_partitions(input, config.partition_records,
+                                          config.partition_policy);
+  LocalStageResult local = run_local_stage(
+      partitions, config.machine, config.executor_assignment, spec.op,
+      spec.compute_multiplier, config.dimsum, rng);
+  return SiteStage{input.size(), local.shuffle_input.size(),
+                   local.exchanged_records, local.rdd_check_seconds,
+                   std::move(local.executor_seconds)};
+}
+
+JobResult run_job_from_stages(const net::WanTopology& topo,
+                              const std::vector<SiteStage>& stages,
+                              const std::vector<double>& reduce_fractions,
+                              const QuerySpec& spec, const JobConfig& config,
+                              bohr::Rng& rng) {
+  std::vector<double> map_finishes;
+  map_finishes.reserve(stages.size());
+  for (const SiteStage& stage : stages) {
+    map_finishes.push_back(map_finish(stage, config.machine, rng));
+  }
+  return shuffle_and_reduce(topo, stages, map_finishes, reduce_fractions,
+                            spec, config);
+}
+
+JobResult run_job(const net::WanTopology& topo,
+                  const std::vector<RecordStream>& site_inputs,
+                  const std::vector<double>& reduce_fractions,
+                  const QuerySpec& spec, const JobConfig& config,
+                  bohr::Rng& rng) {
+  BOHR_EXPECTS(site_inputs.size() == topo.site_count());
+  // Each site's stage then its straggler draw, site by site: under
+  // round-robin assignment both draw from `rng`, in this order.
+  std::vector<SiteStage> stages;
+  std::vector<double> map_finishes;
+  stages.reserve(site_inputs.size());
+  map_finishes.reserve(site_inputs.size());
+  for (const RecordStream& input : site_inputs) {
+    stages.push_back(run_site_stage(input, spec, config, rng));
+    map_finishes.push_back(map_finish(stages.back(), config.machine, rng));
+  }
+  return shuffle_and_reduce(topo, stages, map_finishes, reduce_fractions,
+                            spec, config);
 }
 
 }  // namespace bohr::engine

@@ -98,8 +98,42 @@ struct JobResult {
   double reduce_dropped_fraction = 0.0;
 };
 
+/// The part of one site's local stage (partitioning, executor
+/// assignment, per-partition combine, merge) that does not depend on the
+/// run: everything but the straggler draw. Under SimilarityKMeans
+/// assignment it draws no RNG, so it is a pure function of the site's
+/// mapped input, the spec and the config, and a recurring query can
+/// reuse it.
+struct SiteStage {
+  std::size_t input_records = 0;
+  std::size_t shuffle_records = 0;  ///< combined map output at the site
+  std::size_t exchanged_records = 0;
+  double rdd_check_seconds = 0.0;
+  /// Each executor's healthy (pre-straggler) seconds; empty when the
+  /// site has no input.
+  std::vector<double> executor_seconds;
+};
+
+/// Partitions `input` and runs its local stage without stragglers.
+/// Draws from `rng` only under round-robin executor assignment.
+SiteStage run_site_stage(const RecordStream& input, const QuerySpec& spec,
+                         const JobConfig& config, bohr::Rng& rng);
+
+/// The per-run half of a job: per site in order, the straggler draw over
+/// its stage (which gives the site's map finish), then the WAN shuffle
+/// and the reduce. `stages[i]` is site i's stage; `reduce_fractions`
+/// must sum to 1.
+JobResult run_job_from_stages(const net::WanTopology& topo,
+                              const std::vector<SiteStage>& stages,
+                              const std::vector<double>& reduce_fractions,
+                              const QuerySpec& spec, const JobConfig& config,
+                              bohr::Rng& rng);
+
 /// `site_inputs[i]` holds the already-mapped key/value stream at site i
 /// (selectivity applied by the caller). `reduce_fractions` must sum to 1.
+/// run_site_stage then the straggler draw per site, in site order, then
+/// shuffle and reduce: under SimilarityKMeans assignment this equals
+/// run_job_from_stages over every site's run_site_stage.
 JobResult run_job(const net::WanTopology& topo,
                   const std::vector<RecordStream>& site_inputs,
                   const std::vector<double>& reduce_fractions,

@@ -200,43 +200,15 @@ LocalStageResult run_local_stage(
   // Executor cost: map scan plus per-distinct-key aggregation state.
   // Similar partitions on one executor share keys, shrinking the state —
   // the Bohr-RDD mechanism. Shuffle volume is NOT affected (§8.3.3).
-  std::vector<double> executor_time(config.executors, 0.0);
+  result.executor_seconds.assign(config.executors, 0.0);
   for (std::size_t e = 0; e < config.executors; ++e) {
     const double map_t = map_records[e] * config.record_scale *
                          compute_multiplier / config.map_records_per_sec;
     const double merge_t = static_cast<double>(executor_keys[e].size()) *
                            config.record_scale /
                            config.merge_records_per_sec;
-    executor_time[e] = map_t + merge_t;
+    result.executor_seconds[e] = map_t + merge_t;
   }
-
-  // Straggler injection + speculative recovery.
-  if (config.straggler_probability > 0.0) {
-    BOHR_EXPECTS(config.straggler_slowdown >= 1.0);
-    std::vector<double> healthy = executor_time;
-    for (auto& t : executor_time) {
-      if (rng.bernoulli(config.straggler_probability)) {
-        t *= config.straggler_slowdown;
-        ++result.stragglers;
-      }
-    }
-    if (config.speculative_execution && result.stragglers > 0) {
-      // Speculation caps a straggler at speculation_cap x the median
-      // healthy executor (copy launched once the lag is detected).
-      std::sort(healthy.begin(), healthy.end());
-      const double median = healthy[healthy.size() / 2];
-      const double cap = config.speculation_cap * median;
-      for (std::size_t e = 0; e < config.executors; ++e) {
-        if (executor_time[e] > cap) {
-          executor_time[e] = std::max(cap, healthy[e < healthy.size() ? e : 0]);
-          ++result.speculations;
-        }
-      }
-    }
-  }
-
-  double slowest = 0.0;
-  for (const double t : executor_time) slowest = std::max(slowest, t);
 
   // Diagnostic: keys resident on more than one executor (the duplicate
   // state similarity-aware assignment removes).
@@ -248,8 +220,53 @@ LocalStageResult run_local_stage(
     if (count > 1) result.exchanged_records += count - 1;
   }
 
-  result.stage_seconds = result.rdd_check_seconds + slowest;
+  result.stage_seconds =
+      result.rdd_check_seconds + *std::max_element(
+                                     result.executor_seconds.begin(),
+                                     result.executor_seconds.end());
   return result;
+}
+
+StragglerDraw draw_stragglers(std::span<const double> executor_seconds,
+                              const MachineConfig& config, bohr::Rng& rng) {
+  StragglerDraw draw;
+  if (config.straggler_probability <= 0.0) {
+    for (const double t : executor_seconds) {
+      draw.slowest_seconds = std::max(draw.slowest_seconds, t);
+    }
+    return draw;
+  }
+  BOHR_EXPECTS(config.straggler_slowdown >= 1.0);
+  const std::size_t n = executor_seconds.size();
+  std::vector<double> time(executor_seconds.begin(), executor_seconds.end());
+  std::vector<bool> straggled(n, false);
+  for (std::size_t e = 0; e < n; ++e) {
+    if (rng.bernoulli(config.straggler_probability)) {
+      time[e] *= config.straggler_slowdown;
+      straggled[e] = true;
+      ++draw.stragglers;
+    }
+  }
+  if (config.speculative_execution && draw.stragglers > 0) {
+    // Speculation caps a straggler at speculation_cap x the median
+    // healthy executor (copy launched once the lag is detected). The
+    // copy cannot beat the executor's own healthy time, and an executor
+    // that merely has more work is not a straggler.
+    std::vector<double> sorted(executor_seconds.begin(),
+                               executor_seconds.end());
+    std::sort(sorted.begin(), sorted.end());
+    const double cap = config.speculation_cap * sorted[n / 2];
+    for (std::size_t e = 0; e < n; ++e) {
+      if (straggled[e] && time[e] > cap) {
+        time[e] = std::max(cap, executor_seconds[e]);
+        ++draw.speculations;
+      }
+    }
+  }
+  for (const double t : time) {
+    draw.slowest_seconds = std::max(draw.slowest_seconds, t);
+  }
+  return draw;
 }
 
 }  // namespace bohr::engine

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -68,7 +69,7 @@ enum class ExecutorAssignment {
 
 struct LocalStageResult {
   /// Simulated seconds until every executor finished map+combine+merge
-  /// and the cross-executor exchange completed.
+  /// and the cross-executor exchange completed, with no stragglers.
   double stage_seconds = 0.0;
   /// Per-partition combined outputs, concatenated: this is the shuffle
   /// input (Spark combines per map task; no machine-wide combine).
@@ -78,16 +79,36 @@ struct LocalStageResult {
   /// Simulated cost of RDD similarity checking (0 unless k-means mode).
   double rdd_check_seconds = 0.0;
   std::vector<std::size_t> executor_of_partition;
-  /// Straggler bookkeeping (0 unless straggler injection is enabled).
-  std::size_t stragglers = 0;
-  std::size_t speculations = 0;
+  /// Each executor's healthy (pre-straggler) map + merge seconds; empty
+  /// when there are no partitions.
+  std::vector<double> executor_seconds;
 };
 
 /// Runs the local stage over `partitions` with `compute_multiplier`
-/// scaling per-record map cost (UDFs cost more than scans).
+/// scaling per-record map cost (UDFs cost more than scans). Stragglers
+/// are not injected here (see draw_stragglers). Draws from `rng` only
+/// for round-robin assignment, so under SimilarityKMeans the result is a
+/// pure function of the partitions and the config.
 LocalStageResult run_local_stage(
     const std::vector<RecordStream>& partitions, const MachineConfig& config,
     ExecutorAssignment assignment, AggregateOp op, double compute_multiplier,
     const similarity::DimsumParams& dimsum_params, bohr::Rng& rng);
+
+/// The per-run part of the local stage: straggler injection and
+/// speculative recovery over the executors' healthy times.
+struct StragglerDraw {
+  /// The slowest executor's effective seconds (0 with no executors).
+  double slowest_seconds = 0.0;
+  std::size_t stragglers = 0;
+  std::size_t speculations = 0;
+};
+
+/// Draws one straggler Bernoulli per executor (none when
+/// straggler_probability is 0 or `executor_seconds` is empty). With
+/// speculation on, each executor that straggled past speculation_cap x
+/// the median healthy time is capped there, but never below its own
+/// healthy time; executors that did not straggle are left alone.
+StragglerDraw draw_stragglers(std::span<const double> executor_seconds,
+                              const MachineConfig& config, bohr::Rng& rng);
 
 }  // namespace bohr::engine

@@ -21,78 +21,90 @@ std::size_t downlink_index(std::size_t site_count, SiteId s) {
 
 /// Progressive filling against explicit per-link capacities (2S entries:
 /// uplinks then downlinks). Shared by the pristine and faulted paths so
-/// both see the identical allocation arithmetic.
-std::vector<double> max_min_rates_capacity(const std::vector<double>& capacity,
-                                           const std::vector<Flow>& flows) {
-  const std::size_t n_links = capacity.size();
-  const std::size_t n_sites = n_links / 2;
+/// both see the identical allocation arithmetic. The buffers persist
+/// across fill() calls, so an event loop allocates nothing per event.
+class MaxMinFiller {
+ public:
+  /// Rates index-aligned with `flows`; valid until the next fill().
+  const std::vector<double>& fill(const std::vector<double>& capacity,
+                                  const std::vector<Flow>& flows) {
+    const std::size_t n_links = capacity.size();
+    const std::size_t n_sites = n_links / 2;
 
-  std::vector<double> rates(flows.size(), 0.0);
-  std::vector<bool> fixed(flows.size(), false);
-  // Intra-site flows do not traverse the WAN; fix them at rate 0 up front.
-  std::size_t undetermined = 0;
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    BOHR_EXPECTS(flows[f].src < n_sites && flows[f].dst < n_sites);
-    if (flows[f].src == flows[f].dst) {
-      fixed[f] = true;
-    } else {
-      ++undetermined;
-    }
-  }
-
-  // Progressive filling: raise the common rate `level` of all undetermined
-  // flows until some link saturates; freeze flows on saturated links;
-  // repeat. Each iteration freezes at least one flow, so it terminates.
-  // A zero-capacity link (site outage) saturates at level 0, freezing its
-  // flows at rate 0.
-  double level = 0.0;
-  while (undetermined > 0) {
-    // For each link, the level at which it would saturate.
-    double next_level = kInf;
-    std::vector<std::size_t> flows_on_link(n_links, 0);
-    std::vector<double> fixed_load(n_links, 0.0);
+    rates_.assign(flows.size(), 0.0);
+    fixed_.assign(flows.size(), false);
+    // Intra-site flows do not traverse the WAN; fix them at rate 0 up
+    // front.
+    std::size_t undetermined = 0;
     for (std::size_t f = 0; f < flows.size(); ++f) {
-      if (flows[f].src == flows[f].dst) continue;
-      const std::size_t up = uplink_index(flows[f].src);
-      const std::size_t down = downlink_index(n_sites, flows[f].dst);
-      if (fixed[f]) {
-        fixed_load[up] += rates[f];
-        fixed_load[down] += rates[f];
+      BOHR_EXPECTS(flows[f].src < n_sites && flows[f].dst < n_sites);
+      if (flows[f].src == flows[f].dst) {
+        fixed_[f] = true;
       } else {
-        ++flows_on_link[up];
-        ++flows_on_link[down];
+        ++undetermined;
       }
     }
-    for (std::size_t l = 0; l < n_links; ++l) {
-      if (flows_on_link[l] == 0) continue;
-      const double saturation =
-          (capacity[l] - fixed_load[l]) / static_cast<double>(flows_on_link[l]);
-      next_level = std::min(next_level, saturation);
-    }
-    BOHR_CHECK(next_level < kInf);
-    level = std::max(level, next_level);
 
-    // Freeze flows whose path contains a saturated link at this level.
-    bool froze_any = false;
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      if (fixed[f] || flows[f].src == flows[f].dst) continue;
-      const std::size_t up = uplink_index(flows[f].src);
-      const std::size_t down = downlink_index(n_sites, flows[f].dst);
-      const double up_sat = (capacity[up] - fixed_load[up]) /
-                            static_cast<double>(flows_on_link[up]);
-      const double down_sat = (capacity[down] - fixed_load[down]) /
-                              static_cast<double>(flows_on_link[down]);
-      if (std::min(up_sat, down_sat) <= level * (1.0 + 1e-12)) {
-        rates[f] = level;
-        fixed[f] = true;
-        --undetermined;
-        froze_any = true;
+    // Progressive filling: raise the common rate `level` of all
+    // undetermined flows until some link saturates; freeze flows on
+    // saturated links; repeat. Each iteration freezes at least one flow,
+    // so it terminates. A zero-capacity link (site outage) saturates at
+    // level 0, freezing its flows at rate 0.
+    double level = 0.0;
+    while (undetermined > 0) {
+      flows_on_link_.assign(n_links, 0);
+      fixed_load_.assign(n_links, 0.0);
+      for (std::size_t f = 0; f < flows.size(); ++f) {
+        if (flows[f].src == flows[f].dst) continue;
+        const std::size_t up = uplink_index(flows[f].src);
+        const std::size_t down = downlink_index(n_sites, flows[f].dst);
+        if (fixed_[f]) {
+          fixed_load_[up] += rates_[f];
+          fixed_load_[down] += rates_[f];
+        } else {
+          ++flows_on_link_[up];
+          ++flows_on_link_[down];
+        }
       }
+      // For each link carrying an undetermined flow, the level at which
+      // it would saturate.
+      double next_level = kInf;
+      saturation_.assign(n_links, kInf);
+      for (std::size_t l = 0; l < n_links; ++l) {
+        if (flows_on_link_[l] == 0) continue;
+        saturation_[l] = (capacity[l] - fixed_load_[l]) /
+                         static_cast<double>(flows_on_link_[l]);
+        next_level = std::min(next_level, saturation_[l]);
+      }
+      BOHR_CHECK(next_level < kInf);
+      level = std::max(level, next_level);
+
+      // Freeze flows whose path contains a saturated link at this level.
+      bool froze_any = false;
+      for (std::size_t f = 0; f < flows.size(); ++f) {
+        if (fixed_[f] || flows[f].src == flows[f].dst) continue;
+        const double up_sat = saturation_[uplink_index(flows[f].src)];
+        const double down_sat =
+            saturation_[downlink_index(n_sites, flows[f].dst)];
+        if (std::min(up_sat, down_sat) <= level * (1.0 + 1e-12)) {
+          rates_[f] = level;
+          fixed_[f] = true;
+          --undetermined;
+          froze_any = true;
+        }
+      }
+      BOHR_CHECK(froze_any);
     }
-    BOHR_CHECK(froze_any);
+    return rates_;
   }
-  return rates;
-}
+
+ private:
+  std::vector<double> rates_;
+  std::vector<bool> fixed_;
+  std::vector<std::size_t> flows_on_link_;
+  std::vector<double> fixed_load_;
+  std::vector<double> saturation_;
+};
 
 }  // namespace
 
@@ -104,7 +116,7 @@ std::vector<double> max_min_rates(const WanTopology& topo,
     capacity[uplink_index(s)] = topo.uplink(s);
     capacity[downlink_index(n_sites, s)] = topo.downlink(s);
   }
-  return max_min_rates_capacity(capacity, flows);
+  return MaxMinFiller().fill(capacity, flows);
 }
 
 FaultSimReport simulate_flows_with_faults(const WanTopology& topo,
@@ -187,6 +199,11 @@ FaultSimReport simulate_flows_with_faults(const WanTopology& topo,
     if (!plan.retry.resume) remaining[f] = flows[f].bytes;
   };
 
+  // Per-event scratch, reused across events.
+  std::vector<std::size_t> active_ids;
+  std::vector<Flow> active;
+  std::vector<double> capacity(2 * n_sites, 0.0);
+  MaxMinFiller filler;
   double now = 0.0;
   while (unfinished > 0) {
     if (!deadline_recorded && now >= deadline - 1e-15) snapshot_deadline();
@@ -216,7 +233,7 @@ FaultSimReport simulate_flows_with_faults(const WanTopology& topo,
     if (unfinished == 0) break;
 
     // Active = eligible and not finished. Pending = eligible later.
-    std::vector<std::size_t> active_ids;
+    active_ids.clear();
     double next_event = kInf;
     for (std::size_t f = 0; f < flows.size(); ++f) {
       if (done[f] || failed[f]) continue;
@@ -238,7 +255,6 @@ FaultSimReport simulate_flows_with_faults(const WanTopology& topo,
 
     // Effective capacities for this epoch (piecewise constant between
     // fault boundaries; factor 1 reproduces the nominal value exactly).
-    std::vector<double> capacity(2 * n_sites, 0.0);
     for (SiteId s = 0; s < n_sites; ++s) {
       capacity[uplink_index(s)] =
           topo.uplink(s) * plan.uplink_factor(s, now);
@@ -246,10 +262,9 @@ FaultSimReport simulate_flows_with_faults(const WanTopology& topo,
           topo.downlink(s) * plan.downlink_factor(s, now);
     }
 
-    std::vector<Flow> active;
-    active.reserve(active_ids.size());
+    active.clear();
     for (const auto f : active_ids) active.push_back(flows[f]);
-    const std::vector<double> rates = max_min_rates_capacity(capacity, active);
+    const std::vector<double>& rates = filler.fill(capacity, active);
 
     // Earliest event: a completion, an arrival/retry, a fault boundary,
     // or the deadline snapshot point.

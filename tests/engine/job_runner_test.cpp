@@ -349,5 +349,80 @@ TEST(JobRunnerTest, NonPositiveReduceDeadlineThrows) {
                bohr::ContractViolation);
 }
 
+TEST(JobRunnerTest, RunJobEqualsStagesThenRunFromStages) {
+  // run_job is run_site_stage per site, then run_job_from_stages, for
+  // every config whose stages draw no RNG in between straggler draws:
+  // round-robin without stragglers, and k-means with them.
+  const auto topo = two_site_topo();
+  RecordStream interleaved;
+  for (std::uint64_t i = 0; i < 64; ++i) interleaved.push_back({i % 16, 1.0});
+  const std::vector<std::vector<RecordStream>> fixtures{
+      {unique_records(0, 20), unique_records(1000, 20)},
+      {interleaved, {}},
+      {{}, {}},
+  };
+  net::FaultPlan slow_site;
+  slow_site.slowdowns.push_back(net::SiteSlowdown{1, 0.0, 1.0e9, 40.0});
+  const auto buckets = ReduceBucketMap::from_fractions({0.5, 0.5}, 8);
+
+  std::vector<JobConfig> configs(4, fast_config());
+  configs[1].executor_assignment = ExecutorAssignment::SimilarityKMeans;
+  configs[1].partition_policy = PartitionPolicy::CubeSorted;
+  configs[1].machine.straggler_probability = 0.5;
+  configs[1].machine.speculative_execution = true;
+  configs[2] = configs[1];
+  configs[2].reduce_records_per_sec = 100.0;
+  configs[2].faults = &slow_site;
+  configs[2].reduce_buckets = &buckets;
+  configs[2].bucket_speculation = true;
+  configs[3].reduce_records_per_sec = 100.0;
+  configs[3].reduce_deadline_seconds = 0.05;
+
+  for (std::size_t f = 0; f < fixtures.size(); ++f) {
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      SCOPED_TRACE("fixture " + std::to_string(f) + " config " +
+                   std::to_string(c));
+      Rng rng_a(9);
+      Rng rng_b(9);
+      std::vector<SiteStage> stages;
+      for (const RecordStream& input : fixtures[f]) {
+        stages.push_back(run_site_stage(input, sum_spec(), configs[c], rng_a));
+      }
+      const JobResult split = run_job_from_stages(
+          topo, stages, {0.5, 0.5}, sum_spec(), configs[c], rng_a);
+      const JobResult whole =
+          run_job(topo, fixtures[f], {0.5, 0.5}, sum_spec(), configs[c], rng_b);
+      EXPECT_EQ(split.qct_seconds, whole.qct_seconds);
+      EXPECT_EQ(split.shuffle_seconds, whole.shuffle_seconds);
+      EXPECT_EQ(split.wan_shuffle_bytes, whole.wan_shuffle_bytes);
+      EXPECT_EQ(split.reduce_speculations, whole.reduce_speculations);
+      EXPECT_EQ(split.reduce_buckets_dropped, whole.reduce_buckets_dropped);
+      EXPECT_EQ(split.reduce_dropped_fraction, whole.reduce_dropped_fraction);
+      ASSERT_EQ(split.sites.size(), whole.sites.size());
+      for (std::size_t i = 0; i < split.sites.size(); ++i) {
+        EXPECT_EQ(split.sites[i].input_records, whole.sites[i].input_records);
+        EXPECT_EQ(split.sites[i].shuffle_records,
+                  whole.sites[i].shuffle_records);
+        EXPECT_EQ(split.sites[i].exchanged_records,
+                  whole.sites[i].exchanged_records);
+        EXPECT_EQ(split.sites[i].map_finish_seconds,
+                  whole.sites[i].map_finish_seconds);
+        EXPECT_EQ(split.sites[i].reduce_finish_seconds,
+                  whole.sites[i].reduce_finish_seconds);
+      }
+      // The stages are reusable: a second run from them draws the same
+      // stragglers from the same stream position.
+      Rng rng_c(9);
+      for (const RecordStream& input : fixtures[f]) {
+        run_site_stage(input, sum_spec(), configs[c], rng_c);
+      }
+      EXPECT_EQ(run_job_from_stages(topo, stages, {0.5, 0.5}, sum_spec(),
+                                    configs[c], rng_c)
+                    .qct_seconds,
+                whole.qct_seconds);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bohr::engine

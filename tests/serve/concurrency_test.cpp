@@ -1,7 +1,8 @@
 // Shared-state concurrency of the serving loop, written to run under
-// ThreadSanitizer: snapshot readers racing the columnar cache's CAS
-// install, and concurrent batches executing over one controller's cube
-// and similarity state. These spawn raw std::threads (not the pooled
+// ThreadSanitizer: snapshot readers racing the columnar cache's
+// install, first touches racing to build one query plan, and concurrent
+// batches executing over one controller's cube, similarity and plan
+// state. These spawn raw std::threads (not the pooled
 // runtime) so the races exist at every BOHR_THREADS setting.
 #include <atomic>
 #include <memory>
@@ -28,7 +29,7 @@ TEST(ServeConcurrencyTest, ColumnsReadersRaceTheCacheInstall) {
   }
 
   // Rounds of: mutate (which invalidates the columnar cache), then N
-  // readers race to CAS-install the rebuilt snapshot. Every reader must
+  // readers race to install the rebuilt snapshot. Every reader must
   // observe a complete snapshot of the post-mutation cube.
   constexpr int kReaders = 8;
   constexpr int kRounds = 25;
@@ -103,6 +104,37 @@ TEST(ServeConcurrencyTest, ConcurrentSingleQueriesMatchSerialBaseline) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(got, expected);
+}
+
+TEST(ServeConcurrencyTest, ConcurrentFirstTouchesBuildOnePlan) {
+  // Every thread asks for the same not-yet-built (dataset, type) plan at
+  // once: exactly one builds it, and every result equals a twin
+  // controller's serial run.
+  const core::Controller twin = prepared_controller();
+  Rng serial_rng(hash_combine(0xF1257, 1));
+  const double expected =
+      twin.run_single_query(1, 0, /*reduce_buckets=*/nullptr, serial_rng)
+          .qct_seconds;
+
+  constexpr std::size_t kThreads = 8;
+  const core::Controller controller = prepared_controller();
+  std::atomic<std::size_t> ready{0};
+  std::vector<double> got(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      Rng rng(hash_combine(0xF1257, 1));
+      got[k] = controller
+                   .run_single_query(1, 0, /*reduce_buckets=*/nullptr, rng)
+                   .qct_seconds;
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const double qct : got) EXPECT_EQ(qct, expected);
 }
 
 TEST(ServeConcurrencyTest, ConcurrentServingRunsShareOneController) {
