@@ -1,9 +1,8 @@
 #include "common/latency.h"
 
 #include <bit>
-#include <cstring>
 
-#include "common/check.h"
+#include "common/bytes.h"
 #include "common/crc32.h"
 
 namespace bohr {
@@ -45,28 +44,20 @@ std::uint32_t LatencyRecorder::digest() const {
 }
 
 std::string LatencyRecorder::serialize() const {
-  std::string out;
-  out.reserve(8 + samples_.size() * 8);
-  const std::uint64_t n = samples_.size();
-  out.append(reinterpret_cast<const char*>(&n), 8);
-  for (const double x : samples_) {
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
-    out.append(reinterpret_cast<const char*>(&bits), 8);
-  }
-  return out;
+  ByteWriter w;
+  w.reserve(8 + samples_.size() * 8);
+  w.u64(samples_.size());
+  for (const double x : samples_) w.f64(x);
+  return std::move(w).take();
 }
 
-LatencyRecorder LatencyRecorder::deserialize(const std::string& image) {
-  BOHR_CHECK(image.size() >= 8);
-  std::uint64_t n = 0;
-  std::memcpy(&n, image.data(), 8);
-  BOHR_CHECK(image.size() == 8 + n * 8);
+LatencyRecorder LatencyRecorder::deserialize(std::string_view image) {
+  ByteReader r(image);
+  const std::size_t n = r.count64(8);
   LatencyRecorder out;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, image.data() + 8 + i * 8, 8);
-    out.add(std::bit_cast<double>(bits));
-  }
+  out.samples_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.add(r.f64());
+  r.expect_end();
   return out;
 }
 

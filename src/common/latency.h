@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.h"
@@ -52,10 +53,12 @@ class LatencyRecorder {
   /// CRC-32 over the samples' IEEE-754 bit patterns in insertion order.
   std::uint32_t digest() const;
 
-  /// Flat byte image (count + raw doubles) and its inverse; round-trips
-  /// digest() exactly. Used by the churn/serving checkpoint images.
+  /// Flat byte image (u64 count + f64 samples) and its inverse;
+  /// round-trips digest() exactly. Used by the churn checkpoint image.
+  /// deserialize throws DecodeError (a ContractViolation) on a malformed
+  /// image.
   std::string serialize() const;
-  static LatencyRecorder deserialize(const std::string& image);
+  static LatencyRecorder deserialize(std::string_view image);
 
  private:
   std::vector<double> samples_;

@@ -1,14 +1,13 @@
 #include "core/checkpoint.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/crc32.h"
 #include "common/phase_timer.h"
@@ -35,63 +34,6 @@ class SnapshotRejected : public std::runtime_error {
       : std::runtime_error(why) {}
 };
 
-// ---- byte-image writer/reader -----------------------------------------
-
-struct ByteWriter {
-  std::string bytes;
-
-  void raw(const void* data, std::size_t size) {
-    bytes.append(static_cast<const char*>(data), size);
-  }
-  void u8(std::uint8_t v) { raw(&v, 1); }
-  void u32(std::uint32_t v) { raw(&v, 4); }
-  void u64(std::uint64_t v) { raw(&v, 8); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    raw(s.data(), s.size());
-  }
-};
-
-struct ByteReader {
-  const char* p;
-  const char* end;
-
-  void raw(void* data, std::size_t size) {
-    if (static_cast<std::size_t>(end - p) < size) {
-      throw SnapshotRejected("state image truncated");
-    }
-    std::memcpy(data, p, size);
-    p += size;
-  }
-  std::uint8_t u8() {
-    std::uint8_t v = 0;
-    raw(&v, 1);
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    raw(&v, 4);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    raw(&v, 8);
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str() {
-    const std::uint32_t size = u32();
-    if (size > static_cast<std::size_t>(end - p)) {
-      throw SnapshotRejected("state image truncated in string");
-    }
-    std::string s(static_cast<std::size_t>(size), '\0');
-    if (size > 0) raw(s.data(), s.size());
-    return s;
-  }
-  bool exhausted() const { return p == end; }
-};
-
 // ---- report / progress serialization ----------------------------------
 
 void write_doubles(ByteWriter& w, const std::vector<double>& v) {
@@ -100,8 +42,7 @@ void write_doubles(ByteWriter& w, const std::vector<double>& v) {
 }
 
 std::vector<double> read_doubles(ByteReader& r) {
-  const std::uint32_t n = r.u32();
-  std::vector<double> v(n);
+  std::vector<double> v(r.count32(8));
   for (auto& d : v) d = r.f64();
   return v;
 }
@@ -147,9 +88,9 @@ PrepareReport read_report(ByteReader& r) {
   report.probe_bytes = r.f64();
 
   PlacementDecision& d = report.decision;
-  d.move_bytes.resize(r.u32());
+  d.move_bytes.resize(r.count32(4));
   for (auto& per_dataset : d.move_bytes) {
-    per_dataset.resize(r.u32());
+    per_dataset.resize(r.count32(4));
     for (auto& row : per_dataset) row = read_doubles(r);
   }
   d.reduce_fractions = read_doubles(r);
@@ -195,14 +136,14 @@ void write_plans(ByteWriter& w, const std::vector<MovementPlan>& plans) {
 }
 
 std::vector<MovementPlan> read_plans(ByteReader& r) {
-  std::vector<MovementPlan> plans(r.u32());
+  std::vector<MovementPlan> plans(r.count32(4 + 8 + 8));
   for (MovementPlan& plan : plans) {
-    plan.flows.resize(r.u32());
+    plan.flows.resize(r.count32(4 + 4 + 8 + 8));
     for (PlannedFlow& flow : plan.flows) {
       flow.src = r.u32();
       flow.dst = r.u32();
       flow.bytes = r.f64();
-      flow.row_indices.resize(r.u64());
+      flow.row_indices.resize(r.count64(8));
       for (auto& i : flow.row_indices) i = r.u64();
     }
     plan.planned_bytes = r.f64();
@@ -237,18 +178,18 @@ void write_similarity(ByteWriter& w,
 }
 
 std::vector<DatasetSimilarity> read_similarity(ByteReader& r) {
-  std::vector<DatasetSimilarity> sims(r.u32());
+  std::vector<DatasetSimilarity> sims(r.count32(4 + 4 + 4 + 3 * 8));
   for (DatasetSimilarity& sim : sims) {
     sim.self = read_doubles(r);
-    sim.pair.resize(r.u32());
+    sim.pair.resize(r.count32(4));
     for (auto& row : sim.pair) row = read_doubles(r);
-    sim.matched_keys.resize(r.u32());
+    sim.matched_keys.resize(r.count32(4));
     for (auto& per_dst : sim.matched_keys) {
-      per_dst.resize(r.u32());
+      per_dst.resize(r.count32(8));
       for (auto& keys : per_dst) {
-        const std::uint64_t n = r.u64();
+        const std::size_t n = r.count64(8);
         keys.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) keys.insert(r.u64());
+        for (std::size_t i = 0; i < n; ++i) keys.insert(r.u64());
       }
     }
     sim.checking_seconds = r.f64();
@@ -271,16 +212,16 @@ void write_rows(ByteWriter& w, const std::vector<olap::Row>& rows) {
         w.f64(*d);
       } else {
         w.u8(2);
-        w.str(std::get<std::string>(value));
+        w.blob32(std::get<std::string>(value));
       }
     }
   }
 }
 
 std::vector<olap::Row> read_rows(ByteReader& r) {
-  std::vector<olap::Row> rows(r.u64());
+  std::vector<olap::Row> rows(r.count64(4));
   for (olap::Row& row : rows) {
-    row.resize(r.u32());
+    row.resize(r.count32(1 + 4));
     for (olap::Value& value : row) {
       switch (r.u8()) {
         case 0:
@@ -290,7 +231,7 @@ std::vector<olap::Row> read_rows(ByteReader& r) {
           value = r.f64();
           break;
         case 2:
-          value = r.str();
+          value = std::string(r.blob32());
           break;
         default:
           throw SnapshotRejected("unknown value tag in row image");
@@ -306,9 +247,8 @@ std::string cube_file_name(std::size_t dataset, std::size_t site) {
 }
 
 /// The full state image of one snapshot.
-std::string build_state_image(
-    const Controller& controller, const PrepareProgress& progress,
-    const net::BandwidthEstimator* bandwidth) {
+std::string build_state_image(const Controller& controller,
+                              const PrepareProgress& progress) {
   ByteWriter w;
   w.raw(kStateMagic, sizeof(kStateMagic));
   w.u32(kStateVersion);
@@ -318,17 +258,9 @@ std::string build_state_image(
   for (const std::uint64_t word : rng.words) w.u64(word);
   w.f64(rng.spare);
   w.u8(rng.has_spare ? 1 : 0);
-
-  w.u8(bandwidth != nullptr ? 1 : 0);
-  if (bandwidth != nullptr) {
-    const auto estimates = bandwidth->estimates();
-    w.u32(static_cast<std::uint32_t>(estimates.size()));
-    for (const auto& e : estimates) {
-      w.f64(e.up);
-      w.f64(e.down);
-      w.u8(e.seen ? 1 : 0);
-    }
-  }
+  // Presence byte of the retired bandwidth-estimate section, kept so
+  // the layout (and every recorded image) stays the same.
+  w.u8(0);
 
   write_report(w, progress.report);
   write_plans(w, progress.plans);
@@ -343,23 +275,20 @@ std::string build_state_image(
       write_rows(w, d.rows_at(s));
     }
   }
-  return std::move(w.bytes);
+  return std::move(w).take();
 }
 
 struct DecodedState {
   PrepareProgress progress;
   Rng::State rng;
-  std::optional<std::vector<net::BandwidthEstimator::SiteEstimate>> bandwidth;
   std::vector<DatasetSimilarity> similarity;
   std::vector<std::vector<std::vector<olap::Row>>> dataset_rows;
   std::vector<bool> dataset_has_cubes;
 };
 
-DecodedState decode_state_image(const std::string& image) {
-  ByteReader r{image.data(), image.data() + image.size()};
-  char magic[8];
-  r.raw(magic, sizeof(magic));
-  if (std::memcmp(magic, kStateMagic, sizeof(kStateMagic)) != 0) {
+DecodedState read_state(ByteReader& r) {
+  if (r.take(sizeof(kStateMagic)) !=
+      std::string_view(kStateMagic, sizeof(kStateMagic))) {
     throw SnapshotRejected("state image has bad magic");
   }
   if (r.u32() != kStateVersion) {
@@ -375,36 +304,36 @@ DecodedState decode_state_image(const std::string& image) {
   for (auto& word : state.rng.words) word = r.u64();
   state.rng.spare = r.f64();
   state.rng.has_spare = r.u8() != 0;
-
   if (r.u8() != 0) {
-    std::vector<net::BandwidthEstimator::SiteEstimate> estimates(r.u32());
-    for (auto& e : estimates) {
-      e.up = r.f64();
-      e.down = r.f64();
-      e.seen = r.u8() != 0;
-    }
-    state.bandwidth = std::move(estimates);
+    throw SnapshotRejected("state image carries bandwidth estimates");
   }
 
   state.progress.report = read_report(r);
   state.progress.plans = read_plans(r);
   state.similarity = read_similarity(r);
 
-  const std::uint32_t dataset_count = r.u32();
+  const std::size_t dataset_count = r.count32(4 + 1);
   state.dataset_rows.resize(dataset_count);
   state.dataset_has_cubes.resize(dataset_count);
-  for (std::uint32_t a = 0; a < dataset_count; ++a) {
-    const std::uint32_t sites = r.u32();
+  for (std::size_t a = 0; a < dataset_count; ++a) {
+    const std::size_t sites = r.count32(8);
     state.dataset_has_cubes[a] = r.u8() != 0;
     state.dataset_rows[a].resize(sites);
-    for (std::uint32_t s = 0; s < sites; ++s) {
-      state.dataset_rows[a][s] = read_rows(r);
-    }
+    for (auto& rows : state.dataset_rows[a]) rows = read_rows(r);
   }
-  if (!r.exhausted()) {
-    throw SnapshotRejected("state image has trailing bytes");
-  }
+  r.expect_end();
   return state;
+}
+
+/// Malformed bytes reject the snapshot; any other ContractViolation is
+/// a bug and propagates.
+DecodedState decode_state_image(std::string_view image) {
+  ByteReader r(image);
+  try {
+    return read_state(r);
+  } catch (const DecodeError& e) {
+    throw SnapshotRejected(std::string("state image: ") + e.what());
+  }
 }
 
 // ---- manifest ----------------------------------------------------------
@@ -551,7 +480,7 @@ std::string serialize_prepare_report(const PrepareReport& report) {
   canonical.decision.lp_seconds = 0.0;
   ByteWriter w;
   write_report(w, canonical);
-  return std::move(w.bytes);
+  return std::move(w).take();
 }
 
 // ---- CheckpointManager -------------------------------------------------
@@ -601,7 +530,6 @@ void CheckpointManager::write_file(const std::string& path,
 
 void CheckpointManager::snapshot(const Controller& controller,
                                  const PrepareProgress& progress,
-                                 const net::BandwidthEstimator* bandwidth,
                                  const std::string* migration) {
   ScopedPhase phase("checkpoint.snapshot");
   BOHR_EXPECTS(progress.completed_steps >= 1);
@@ -618,8 +546,7 @@ void CheckpointManager::snapshot(const Controller& controller,
 
   // Serialize everything first so the manifest can seal intended bytes.
   std::vector<std::pair<std::string, std::string>> files;
-  files.emplace_back(kStateFile,
-                     build_state_image(controller, progress, bandwidth));
+  files.emplace_back(kStateFile, build_state_image(controller, progress));
   if (migration != nullptr) {
     files.emplace_back(kMigrationFile, *migration);
   }
@@ -627,9 +554,8 @@ void CheckpointManager::snapshot(const Controller& controller,
   for (std::size_t a = 0; a < datasets.size(); ++a) {
     if (!datasets[a].has_cubes()) continue;
     for (std::size_t s = 0; s < datasets[a].site_count(); ++s) {
-      std::ostringstream cube_bytes;
-      olap::write_cube(cube_bytes, datasets[a].cubes_at(s).base_cube());
-      files.emplace_back(cube_file_name(a, s), std::move(cube_bytes).str());
+      files.emplace_back(cube_file_name(a, s),
+                         olap::encode_cube(datasets[a].cubes_at(s).base_cube()));
     }
   }
 
@@ -733,9 +659,8 @@ RecoveryResult RecoveryManager::recover(Controller& controller) {
             if (it == cube_files.end()) {
               throw SnapshotRejected("missing " + wanted);
             }
-            std::istringstream in(it->second);
             try {
-              cubes[a].push_back(olap::read_cube(in));
+              cubes[a].push_back(olap::decode_cube(it->second));
             } catch (const olap::CubeIoError& e) {
               throw SnapshotRejected(wanted + ": " + e.what());
             }
@@ -755,7 +680,6 @@ RecoveryResult RecoveryManager::recover(Controller& controller) {
       result.recovered = true;
       result.snapshot_seq = seq;
       result.progress = std::move(state.progress);
-      result.bandwidth = std::move(state.bandwidth);
       result.migration_image = std::move(migration_image);
       return result;
     } catch (const SnapshotRejected&) {
@@ -771,8 +695,7 @@ RecoveryResult RecoveryManager::recover(Controller& controller) {
 namespace {
 
 void run_remaining_steps(Controller& controller, PrepareProgress& progress,
-                         CheckpointManager& checkpoints,
-                         const net::BandwidthEstimator* bandwidth) {
+                         CheckpointManager& checkpoints) {
   const std::string& crash_phase =
       controller.options().faults.crash_after_phase;
   const std::vector<std::string>& names = prepare_phase_names();
@@ -795,7 +718,7 @@ void run_remaining_steps(Controller& controller, PrepareProgress& progress,
         controller.step_execute_movement(progress);
         break;
     }
-    checkpoints.snapshot(controller, progress, bandwidth);
+    checkpoints.snapshot(controller, progress);
     // The crash fires after the snapshot commits: "crash after phase X"
     // tests recovery FROM X's snapshot. (A crash mid-snapshot is the
     // torn-write fault's job.)
@@ -808,19 +731,17 @@ void run_remaining_steps(Controller& controller, PrepareProgress& progress,
 
 }  // namespace
 
-const PrepareReport& checkpointed_prepare(
-    Controller& controller, CheckpointManager& checkpoints,
-    const net::BandwidthEstimator* bandwidth) {
+const PrepareReport& checkpointed_prepare(Controller& controller,
+                                          CheckpointManager& checkpoints) {
   PrepareProgress progress = controller.start_prepare();
-  run_remaining_steps(controller, progress, checkpoints, bandwidth);
+  run_remaining_steps(controller, progress, checkpoints);
   return controller.finish_prepare(std::move(progress));
 }
 
 const PrepareReport& resume_prepare(Controller& controller,
                                     PrepareProgress progress,
-                                    CheckpointManager& checkpoints,
-                                    const net::BandwidthEstimator* bandwidth) {
-  run_remaining_steps(controller, progress, checkpoints, bandwidth);
+                                    CheckpointManager& checkpoints) {
+  run_remaining_steps(controller, progress, checkpoints);
   return controller.finish_prepare(std::move(progress));
 }
 

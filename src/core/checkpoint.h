@@ -8,8 +8,8 @@
 //
 //   state.bin            controller state: completed steps, the prepare
 //                        report so far, movement plans, similarity
-//                        results, RNG state, bandwidth estimates, and
-//                        every dataset's per-site rows
+//                        results, RNG state, and every dataset's
+//                        per-site rows (encoded with common/bytes.h)
 //   cube-<a>-<s>.cube    base cube of dataset a at site s (format v2,
 //                        cube_io), for cube-backed strategies
 //   MANIFEST             text manifest listing each file's size and
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "core/controller.h"
-#include "net/bandwidth_estimator.h"
 #include "net/faults.h"
 
 namespace bohr::core {
@@ -87,15 +86,13 @@ class CheckpointManager {
                     const net::FaultPlan* faults = nullptr);
 
   /// Writes snapshot-<seq> capturing `controller` and `progress`, then
-  /// prunes committed snapshots beyond the keep budget. Bandwidth
-  /// estimates ride along when an estimator is supplied. `migration`,
+  /// prunes committed snapshots beyond the keep budget. `migration`,
   /// when given, is an opaque migration-state image (the churn runner's
   /// MigrationController plus its round bookkeeping) stored as an extra
   /// `migration.bin` snapshot file under the same manifest protocol —
   /// a crash mid-migration recovers bucket placement along with
   /// everything else.
   void snapshot(const Controller& controller, const PrepareProgress& progress,
-                const net::BandwidthEstimator* bandwidth = nullptr,
                 const std::string* migration = nullptr);
 
   std::size_t snapshots_written() const { return snapshots_written_; }
@@ -119,8 +116,6 @@ struct RecoveryResult {
   std::size_t snapshot_seq = 0;    ///< which snapshot was used
   std::size_t snapshots_rejected = 0;  ///< corrupt snapshots skipped
   PrepareProgress progress;        ///< restored mid-prepare state
-  /// Restored bandwidth estimates, when the snapshot carried them.
-  std::optional<std::vector<net::BandwidthEstimator::SiteEstimate>> bandwidth;
   /// Opaque migration-state image, when the snapshot carried one
   /// (snapshots from before the migration controller existed, or from
   /// non-churn runs, simply lack the file).
@@ -148,18 +143,16 @@ class RecoveryManager {
 /// honouring the fault plan's crash point (throws CrashInjected right
 /// after the named phase's snapshot commits). Equivalent to
 /// controller.prepare() plus durability.
-const PrepareReport& checkpointed_prepare(
-    Controller& controller, CheckpointManager& checkpoints,
-    const net::BandwidthEstimator* bandwidth = nullptr);
+const PrepareReport& checkpointed_prepare(Controller& controller,
+                                          CheckpointManager& checkpoints);
 
 /// Resumes a recovered prepare: runs the steps `progress` has not yet
 /// completed (snapshotting each — a resumed run is as durable as a
 /// fresh one, and a mid-movement recovery re-simulates the planned
 /// flows through the lag-deadline truncation and replan path), then
 /// finishes. `progress` is consumed.
-const PrepareReport& resume_prepare(
-    Controller& controller, PrepareProgress progress,
-    CheckpointManager& checkpoints,
-    const net::BandwidthEstimator* bandwidth = nullptr);
+const PrepareReport& resume_prepare(Controller& controller,
+                                    PrepareProgress progress,
+                                    CheckpointManager& checkpoints);
 
 }  // namespace bohr::core

@@ -1,10 +1,9 @@
 #include "core/migration.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
-#include <cstring>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/crc32.h"
 
@@ -14,56 +13,6 @@ namespace {
 
 constexpr char kImageMagic[4] = {'B', 'M', 'I', 'G'};
 constexpr std::uint32_t kImageVersion = 1;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.append(buf, 4);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.append(buf, 8);
-}
-
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.append(s);
-}
-
-struct Taker {
-  const char* p;
-  const char* end;
-
-  void raw(void* data, std::size_t size) {
-    BOHR_CHECK(static_cast<std::size_t>(end - p) >= size);
-    std::memcpy(data, p, size);
-    p += size;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    raw(&v, 4);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    raw(&v, 8);
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str() {
-    const std::uint64_t size = u64();
-    BOHR_CHECK(size <= static_cast<std::size_t>(end - p));
-    std::string s(static_cast<std::size_t>(size), '\0');
-    if (size > 0) raw(s.data(), s.size());
-    return s;
-  }
-};
 
 }  // namespace
 
@@ -202,41 +151,39 @@ const MigrationRound& MigrationController::step(const net::FaultPlan& plan,
 std::uint32_t MigrationController::log_digest() const { return crc32(log_); }
 
 std::string MigrationController::serialize() const {
-  std::string out;
-  out.append(kImageMagic, sizeof(kImageMagic));
-  put_u32(out, kImageVersion);
-  put_u64(out, buckets_.site_count);
-  put_u64(out, buckets_.owner.size());
-  for (const std::uint32_t site : buckets_.owner) put_u32(out, site);
-  put_u64(out, rounds_);
-  put_u64(out, total_moves_);
-  put_u64(out, total_evacuations_);
-  put_f64(out, total_delta_bytes_);
-  put_str(out, health_.serialize());
-  put_str(out, log_);
-  return out;
+  ByteWriter w;
+  w.raw(kImageMagic, sizeof(kImageMagic));
+  w.u32(kImageVersion);
+  w.u64(buckets_.site_count);
+  w.u64(buckets_.owner.size());
+  for (const std::uint32_t site : buckets_.owner) w.u32(site);
+  w.u64(rounds_);
+  w.u64(total_moves_);
+  w.u64(total_evacuations_);
+  w.f64(total_delta_bytes_);
+  w.blob64(health_.serialize());
+  w.blob64(log_);
+  return std::move(w).take();
 }
 
-void MigrationController::restore(const std::string& image) {
-  Taker t{image.data(), image.data() + image.size()};
-  char magic[4];
-  t.raw(magic, sizeof(magic));
-  BOHR_CHECK(std::memcmp(magic, kImageMagic, sizeof(kImageMagic)) == 0);
-  BOHR_CHECK(t.u32() == kImageVersion);
-  BOHR_CHECK(t.u64() == buckets_.site_count);
-  const std::uint64_t bucket_count = t.u64();
-  BOHR_CHECK(bucket_count == buckets_.owner.size());
+void MigrationController::restore(std::string_view image) {
+  ByteReader r(image);
+  BOHR_CHECK(r.take(sizeof(kImageMagic)) ==
+             std::string_view(kImageMagic, sizeof(kImageMagic)));
+  BOHR_CHECK(r.u32() == kImageVersion);
+  BOHR_CHECK(r.u64() == buckets_.site_count);
+  BOHR_CHECK(r.u64() == buckets_.owner.size());
   for (auto& site : buckets_.owner) {
-    site = t.u32();
+    site = r.u32();
     BOHR_CHECK(site < buckets_.site_count);
   }
-  rounds_ = t.u64();
-  total_moves_ = t.u64();
-  total_evacuations_ = t.u64();
-  total_delta_bytes_ = t.f64();
-  health_.restore(t.str());
-  log_ = t.str();
-  BOHR_CHECK(t.p == t.end);
+  rounds_ = r.u64();
+  total_moves_ = r.u64();
+  total_evacuations_ = r.u64();
+  total_delta_bytes_ = r.f64();
+  health_.restore(r.blob64());
+  log_ = std::string(r.blob64());
+  r.expect_end();
 }
 
 }  // namespace bohr::core

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/movement.h"
@@ -97,9 +98,10 @@ class MigrationController {
 
   /// Checkpointing: flat byte image of the controller (bucket map,
   /// health monitor, counters, log) and its inverse. Restore requires a
-  /// controller constructed with the same topology and options.
+  /// controller constructed with the same topology and options and
+  /// throws ContractViolation (DecodeError for malformed bytes).
   std::string serialize() const;
-  void restore(const std::string& image);
+  void restore(std::string_view image);
 
  private:
   const net::WanTopology* topology_;  ///< not owned

@@ -1,9 +1,8 @@
 #include "net/site_health.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 
+#include "common/bytes.h"
 #include "common/check.h"
 
 namespace bohr::net {
@@ -136,67 +135,38 @@ std::string SiteHealthMonitor::describe() const {
   return out;
 }
 
-namespace {
-
-void put_u64(std::string& bytes, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  bytes.append(buf, 8);
-}
-
-void put_f64(std::string& bytes, double v) {
-  put_u64(bytes, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint64_t take_u64(const std::string& bytes, std::size_t& at) {
-  if (at + 8 > bytes.size()) {
-    throw ContractViolation("health image truncated");
-  }
-  std::uint64_t v = 0;
-  std::memcpy(&v, bytes.data() + at, 8);
-  at += 8;
-  return v;
-}
-
-double take_f64(const std::string& bytes, std::size_t& at) {
-  return std::bit_cast<double>(take_u64(bytes, at));
-}
-
-}  // namespace
-
 std::string SiteHealthMonitor::serialize() const {
-  std::string bytes;
-  put_u64(bytes, sites_.size());
-  put_f64(bytes, last_observed_);
+  ByteWriter w;
+  w.u64(sites_.size());
+  w.f64(last_observed_);
   for (const SiteState& s : sites_) {
-    put_u64(bytes, static_cast<std::uint64_t>(s.health));
-    put_u64(bytes, s.consecutive_misses);
-    put_f64(bytes, s.next_probe_time);
-    put_f64(bytes, s.observed_slowdown);
-    put_f64(bytes, s.quarantine_until);
-    put_u64(bytes, s.flap_times.size());
-    for (const double t : s.flap_times) put_f64(bytes, t);
+    w.u64(static_cast<std::uint64_t>(s.health));
+    w.u64(s.consecutive_misses);
+    w.f64(s.next_probe_time);
+    w.f64(s.observed_slowdown);
+    w.f64(s.quarantine_until);
+    w.u64(s.flap_times.size());
+    for (const double t : s.flap_times) w.f64(t);
   }
-  return bytes;
+  return std::move(w).take();
 }
 
-void SiteHealthMonitor::restore(const std::string& image) {
-  std::size_t at = 0;
-  const std::uint64_t count = take_u64(image, at);
-  BOHR_EXPECTS(count == sites_.size());
-  last_observed_ = take_f64(image, at);
+void SiteHealthMonitor::restore(std::string_view image) {
+  ByteReader r(image);
+  BOHR_EXPECTS(r.u64() == sites_.size());
+  last_observed_ = r.f64();
   for (SiteState& s : sites_) {
-    const std::uint64_t h = take_u64(image, at);
+    const std::uint64_t h = r.u64();
     BOHR_EXPECTS(h <= static_cast<std::uint64_t>(SiteHealth::kQuarantined));
     s.health = static_cast<SiteHealth>(h);
-    s.consecutive_misses = take_u64(image, at);
-    s.next_probe_time = take_f64(image, at);
-    s.observed_slowdown = take_f64(image, at);
-    s.quarantine_until = take_f64(image, at);
-    s.flap_times.resize(take_u64(image, at));
-    for (double& t : s.flap_times) t = take_f64(image, at);
+    s.consecutive_misses = r.u64();
+    s.next_probe_time = r.f64();
+    s.observed_slowdown = r.f64();
+    s.quarantine_until = r.f64();
+    s.flap_times.resize(r.count64(8));
+    for (double& t : s.flap_times) t = r.f64();
   }
-  BOHR_EXPECTS(at == image.size());
+  r.expect_end();
 }
 
 }  // namespace bohr::net

@@ -1,13 +1,12 @@
 #include "olap/cube_io.h"
 
-#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/crc32.h"
 
@@ -17,11 +16,7 @@ namespace {
 
 constexpr char kMagic[8] = {'B', 'O', 'H', 'R', 'C', 'U', 'B', 'E'};
 constexpr char kEndMagic[8] = {'B', 'O', 'H', 'R', 'E', 'N', 'D', '!'};
-constexpr std::uint32_t kVersionV1 = 1;
-constexpr std::uint32_t kVersionV2 = 2;
-/// Hard ceiling on one section's framed length: catches a corrupted
-/// length prefix before it turns into a giant allocation.
-constexpr std::uint64_t kMaxSectionBytes = 1ull << 32;
+constexpr std::uint32_t kVersion = 2;
 
 [[noreturn]] void corrupt(const std::string& why) {
   throw CubeIoError("cube file corrupt: " + why);
@@ -43,122 +38,39 @@ void validate_dimension(const std::string& name,
   }
 }
 
-// ---- stream writers (throw CubeIoError on a failing sink) -------------
-
-void put_bytes(std::ostream& out, const void* data, std::size_t size) {
-  out.write(static_cast<const char*>(data),
-            static_cast<std::streamsize>(size));
-  if (!out.good()) throw CubeIoError("write failed (stream went bad)");
+/// Encoded bytes of one cell: dim_count member ids, count, sum/min/max.
+std::uint64_t cell_bytes(std::size_t dim_count) {
+  return 8ull * dim_count + 8 + 3 * 8;
 }
 
-void put_u32(std::ostream& out, std::uint32_t v) { put_bytes(out, &v, 4); }
-void put_u64(std::ostream& out, std::uint64_t v) { put_bytes(out, &v, 8); }
-void put_f64(std::ostream& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-void put_string(std::ostream& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  put_bytes(out, s.data(), s.size());
-}
-
-// ---- stream readers (throw CubeIoError on truncation) -----------------
-
-/// Counts every byte consumed so the footer's length seal can be
-/// verified without relying on tellg (which seekless streams lack).
-struct Reader {
-  std::istream& in;
-  std::uint64_t consumed = 0;
-
-  void bytes(void* data, std::size_t size) {
-    in.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-    if (!in.good()) corrupt("truncated (wanted " + std::to_string(size) +
-                            " more bytes at offset " +
-                            std::to_string(consumed) + ")");
-    consumed += size;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    bytes(&v, 4);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    bytes(&v, 8);
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-};
-
-/// Cursor over one decoded (checksum-verified) section payload; all
-/// overruns are corruption, not contract violations.
-struct SectionCursor {
-  const char* p;
-  const char* end;
-  const char* section;
-
-  void bytes(void* data, std::size_t size) {
-    if (static_cast<std::size_t>(end - p) < size) {
-      corrupt(std::string(section) + " section shorter than its contents");
-    }
-    std::memcpy(data, p, size);
-    p += size;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    bytes(&v, 4);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    bytes(&v, 8);
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string string() {
-    const std::uint32_t size = u32();
-    if (size >= (1u << 20)) {
-      corrupt(std::string(section) + " section holds an implausible name (" +
-              std::to_string(size) + " bytes)");
-    }
-    std::string s(size, '\0');
-    if (size > 0) bytes(s.data(), size);
-    return s;
-  }
-  void expect_exhausted() {
-    if (p != end) corrupt(std::string(section) + " section has trailing bytes");
-  }
-};
-
-// ---- shared payload encoders ------------------------------------------
-
-void encode_dimensions(std::ostream& out, const OlapCube& cube) {
-  put_u32(out, static_cast<std::uint32_t>(cube.dimension_count()));
+void encode_dimensions(ByteWriter& w, const OlapCube& cube) {
+  w.u32(static_cast<std::uint32_t>(cube.dimension_count()));
   for (std::size_t d = 0; d < cube.dimension_count(); ++d) {
     const Dimension& dim = cube.dimension(d);
-    put_string(out, dim.name());
-    put_u32(out, dim.is_hashed() ? 1 : 0);
-    put_u32(out, static_cast<std::uint32_t>(dim.level_count()));
+    w.blob32(dim.name());
+    w.u32(dim.is_hashed() ? 1 : 0);
+    w.u32(static_cast<std::uint32_t>(dim.level_count()));
     for (std::size_t l = 0; l < dim.level_count(); ++l) {
-      put_string(out, dim.level(l).name);
-      put_u64(out, dim.level(l).granularity);
+      w.blob32(dim.level(l).name);
+      w.u64(dim.level(l).granularity);
     }
   }
 }
 
-void encode_cells(std::ostream& out, const OlapCube& cube) {
-  put_u64(out, cube.total_records());
-  put_u64(out, cube.cell_count());
+void encode_cells(ByteWriter& w, const OlapCube& cube) {
+  w.u64(cube.total_records());
+  w.u64(cube.cell_count());
   for (const auto& [coords, agg] : cube.cells()) {
-    for (const MemberId m : coords) put_u64(out, m);
-    put_u64(out, agg.count);
-    put_f64(out, agg.sum);
-    put_f64(out, agg.min);
-    put_f64(out, agg.max);
+    for (const MemberId m : coords) w.u64(m);
+    w.u64(agg.count);
+    w.f64(agg.sum);
+    w.f64(agg.min);
+    w.f64(agg.max);
   }
 }
 
-std::vector<Dimension> decode_dimensions(SectionCursor& cur) {
-  const std::uint32_t dim_count = cur.u32();
+std::vector<Dimension> decode_dimensions(ByteReader& r) {
+  const std::uint32_t dim_count = r.u32();
   if (dim_count == 0 || dim_count >= 1024) {
     corrupt("dimension count " + std::to_string(dim_count) +
             " outside (0, 1024)");
@@ -166,9 +78,9 @@ std::vector<Dimension> decode_dimensions(SectionCursor& cur) {
   std::vector<Dimension> dims;
   dims.reserve(dim_count);
   for (std::uint32_t d = 0; d < dim_count; ++d) {
-    const std::string name = cur.string();
-    const bool hashed = cur.u32() != 0;
-    const std::uint32_t level_count = cur.u32();
+    const std::string name(r.blob32());
+    const bool hashed = r.u32() != 0;
+    const std::uint32_t level_count = r.u32();
     if (level_count == 0 || level_count >= 64) {
       corrupt("level count " + std::to_string(level_count) +
               " outside (0, 64)");
@@ -177,8 +89,8 @@ std::vector<Dimension> decode_dimensions(SectionCursor& cur) {
     levels.reserve(level_count);
     for (std::uint32_t l = 0; l < level_count; ++l) {
       HierarchyLevel level;
-      level.name = cur.string();
-      level.granularity = cur.u64();
+      level.name = std::string(r.blob32());
+      level.granularity = r.u64();
       levels.push_back(std::move(level));
     }
     validate_dimension(name, levels);
@@ -187,28 +99,27 @@ std::vector<Dimension> decode_dimensions(SectionCursor& cur) {
   return dims;
 }
 
-OlapCube decode_cells(SectionCursor& cur, std::vector<Dimension> dims) {
+OlapCube decode_cells(ByteReader& r, std::vector<Dimension> dims) {
   const std::size_t dim_count = dims.size();
   OlapCube cube(std::move(dims));
-  const std::uint64_t total_records = cur.u64();
-  const std::uint64_t cell_count = cur.u64();
-  // Every cell is fixed-width, so the section length pins cell_count
-  // exactly — a corrupted count cannot over- or under-read silently.
-  const std::uint64_t cell_bytes = 8ull * dim_count + 8 + 3 * 8;
-  const auto remaining = static_cast<std::uint64_t>(cur.end - cur.p);
-  if (cell_count * cell_bytes != remaining) {
+  const std::uint64_t total_records = r.u64();
+  // Every cell is fixed-width, so the section length pins the cell
+  // count exactly: a corrupted count cannot over- or under-read.
+  const std::uint64_t bytes_per_cell = cell_bytes(dim_count);
+  const std::size_t cell_count = r.count64(bytes_per_cell);
+  if (cell_count * bytes_per_cell != r.remaining()) {
     corrupt("cell count " + std::to_string(cell_count) +
             " disagrees with section length");
   }
   cube.reserve_cells(cell_count);
-  for (std::uint64_t c = 0; c < cell_count; ++c) {
+  for (std::size_t c = 0; c < cell_count; ++c) {
     CellCoords coords(dim_count);
-    for (auto& m : coords) m = cur.u64();
+    for (auto& m : coords) m = r.u64();
     CellAggregate agg;
-    agg.count = cur.u64();
-    agg.sum = cur.f64();
-    agg.min = cur.f64();
-    agg.max = cur.f64();
+    agg.count = r.u64();
+    agg.sum = r.f64();
+    agg.min = r.f64();
+    agg.max = r.f64();
     cube.insert_aggregate(coords, agg);
   }
   if (cube.total_records() != total_records) {
@@ -217,170 +128,98 @@ OlapCube decode_cells(SectionCursor& cur, std::vector<Dimension> dims) {
   return cube;
 }
 
-/// Writes one framed section: u64 length | payload | u32 crc.
-void write_section(std::ostream& out, const std::string& payload) {
-  put_u64(out, payload.size());
-  put_bytes(out, payload.data(), payload.size());
-  put_u32(out, crc32(payload));
-}
-
-/// Reads one framed section and verifies its checksum.
-std::string read_section(Reader& reader, const char* name) {
-  const std::uint64_t length = reader.u64();
-  if (length > kMaxSectionBytes) {
-    corrupt(std::string(name) + " section length " + std::to_string(length) +
-            " is implausible");
-  }
-  std::string payload(static_cast<std::size_t>(length), '\0');
-  if (length > 0) reader.bytes(payload.data(), payload.size());
-  const std::uint32_t stored = reader.u32();
-  if (stored != crc32(payload)) {
+/// Reads one framed section (u64 length | payload | u32 crc), verifies
+/// its checksum and returns the payload.
+std::string_view read_section(ByteReader& r, const char* name) {
+  const std::string_view payload = r.blob64();
+  if (r.u32() != crc32(payload)) {
     corrupt(std::string(name) + " section checksum mismatch");
   }
   return payload;
 }
 
-OlapCube read_cube_v2(Reader& reader) {
-  const std::string dims_payload = read_section(reader, "DIMS");
-  SectionCursor dims_cur{dims_payload.data(),
-                         dims_payload.data() + dims_payload.size(), "DIMS"};
-  std::vector<Dimension> dims = decode_dimensions(dims_cur);
-  dims_cur.expect_exhausted();
-
-  const std::string cells_payload = read_section(reader, "CELLS");
-  SectionCursor cells_cur{cells_payload.data(),
-                          cells_payload.data() + cells_payload.size(),
-                          "CELLS"};
-  OlapCube cube = decode_cells(cells_cur, std::move(dims));
-
-  // Footer: the length seal must match every byte consumed before it.
-  const std::uint64_t body_bytes = reader.consumed;
-  const std::uint64_t stored_body = reader.u64();
-  const std::uint32_t stored_crc = reader.u32();
-  char end_magic[8];
-  reader.bytes(end_magic, sizeof(end_magic));
-  if (std::memcmp(end_magic, kEndMagic, sizeof(kEndMagic)) != 0) {
-    corrupt("footer end-magic missing");
-  }
-  if (stored_crc != crc32(&stored_body, sizeof(stored_body))) {
-    corrupt("footer checksum mismatch");
-  }
-  if (stored_body != body_bytes) {
-    corrupt("footer length seal " + std::to_string(stored_body) +
-            " != body bytes " + std::to_string(body_bytes));
-  }
-  return cube;
-}
-
-OlapCube read_cube_v1(Reader& reader) {
-  // The v1 layout had no framing: parse straight off the stream with
-  // the same bound checks, surfacing truncation as CubeIoError.
-  const std::uint32_t dim_count = reader.u32();
-  if (dim_count == 0 || dim_count >= 1024) {
-    corrupt("dimension count " + std::to_string(dim_count) +
-            " outside (0, 1024)");
-  }
-  std::vector<Dimension> dims;
-  dims.reserve(dim_count);
-  for (std::uint32_t d = 0; d < dim_count; ++d) {
-    std::string name;
-    {
-      const std::uint32_t size = reader.u32();
-      if (size >= (1u << 20)) corrupt("implausible dimension name length");
-      name.assign(size, '\0');
-      if (size > 0) reader.bytes(name.data(), size);
-    }
-    const bool hashed = reader.u32() != 0;
-    const std::uint32_t level_count = reader.u32();
-    if (level_count == 0 || level_count >= 64) {
-      corrupt("level count " + std::to_string(level_count) +
-              " outside (0, 64)");
-    }
-    std::vector<HierarchyLevel> levels;
-    levels.reserve(level_count);
-    for (std::uint32_t l = 0; l < level_count; ++l) {
-      HierarchyLevel level;
-      const std::uint32_t size = reader.u32();
-      if (size >= (1u << 20)) corrupt("implausible level name length");
-      level.name.assign(size, '\0');
-      if (size > 0) reader.bytes(level.name.data(), size);
-      level.granularity = reader.u64();
-      levels.push_back(std::move(level));
-    }
-    validate_dimension(name, levels);
-    dims.emplace_back(name, std::move(levels), hashed);
-  }
-
-  OlapCube cube(std::move(dims));
-  const std::uint64_t total_records = reader.u64();
-  const std::uint64_t cell_count = reader.u64();
-  if (cell_count < (1u << 24)) cube.reserve_cells(cell_count);
-  for (std::uint64_t c = 0; c < cell_count; ++c) {
-    CellCoords coords(dim_count);
-    for (auto& m : coords) m = reader.u64();
-    CellAggregate agg;
-    agg.count = reader.u64();
-    agg.sum = reader.f64();
-    agg.min = reader.f64();
-    agg.max = reader.f64();
-    cube.insert_aggregate(coords, agg);
-  }
-  if (cube.total_records() != total_records) {
-    corrupt("recorded total_records disagrees with summed cell counts");
-  }
-  return cube;
-}
-
 }  // namespace
+
+std::string encode_cube(const OlapCube& cube) {
+  ByteWriter dims;
+  encode_dimensions(dims, cube);
+  const std::uint64_t cells_size =
+      8 + 8 + cube.cell_count() * cell_bytes(cube.dimension_count());
+
+  ByteWriter w;
+  w.reserve(sizeof(kMagic) + 4 + (8 + dims.size() + 4) +
+            (8 + cells_size + 4) + (8 + 4 + sizeof(kEndMagic)));
+  w.raw(kMagic, sizeof(kMagic));
+  w.u32(kVersion);
+  w.blob64(dims.view());
+  w.u32(crc32(dims.view()));
+  // The CELLS payload is encoded in place: its length is known up front.
+  w.u64(cells_size);
+  const std::size_t cells_begin = w.size();
+  encode_cells(w, cube);
+  BOHR_ENSURES(w.size() - cells_begin == cells_size);
+  w.u32(crc32(w.view().substr(cells_begin)));
+
+  // Length-prefixed footer sealing everything written so far.
+  const std::uint64_t body_bytes = w.size();
+  w.u64(body_bytes);
+  w.u32(crc32(&body_bytes, sizeof(body_bytes)));
+  w.raw(kEndMagic, sizeof(kEndMagic));
+  return std::move(w).take();
+}
+
+OlapCube decode_cube(std::string_view bytes) {
+  try {
+    ByteReader r(bytes);
+    if (r.take(sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic))) {
+      corrupt("bad magic (not a cube file)");
+    }
+    const std::uint32_t version = r.u32();
+    if (version != kVersion) {
+      corrupt("unsupported format version " + std::to_string(version));
+    }
+
+    ByteReader dims_section(read_section(r, "DIMS"));
+    std::vector<Dimension> dims = decode_dimensions(dims_section);
+    dims_section.expect_end();
+    ByteReader cells_section(read_section(r, "CELLS"));
+    OlapCube cube = decode_cells(cells_section, std::move(dims));
+
+    // Footer: the length seal must match every byte before it.
+    const std::uint64_t body_bytes = r.position();
+    const std::uint64_t stored_body = r.u64();
+    const std::uint32_t stored_crc = r.u32();
+    if (r.take(sizeof(kEndMagic)) !=
+        std::string_view(kEndMagic, sizeof(kEndMagic))) {
+      corrupt("footer end-magic missing");
+    }
+    if (stored_crc != crc32(&stored_body, sizeof(stored_body))) {
+      corrupt("footer checksum mismatch");
+    }
+    if (stored_body != body_bytes) {
+      corrupt("footer length seal " + std::to_string(stored_body) +
+              " != body bytes " + std::to_string(body_bytes));
+    }
+    r.expect_end();
+    return cube;
+  } catch (const DecodeError& e) {
+    corrupt(e.what());
+  }
+}
 
 void write_cube(std::ostream& out, const OlapCube& cube) {
   BOHR_EXPECTS(out.good());
-  put_bytes(out, kMagic, sizeof(kMagic));
-  put_u32(out, kVersionV2);
-
-  std::ostringstream dims;
-  encode_dimensions(dims, cube);
-  write_section(out, dims.str());
-
-  std::ostringstream cells;
-  encode_cells(cells, cube);
-  write_section(out, cells.str());
-
-  // Length-prefixed footer sealing everything written so far.
-  const std::uint64_t body_bytes =
-      sizeof(kMagic) + 4 +                         // magic + version
-      (8 + dims.str().size() + 4) +                // DIMS frame
-      (8 + cells.str().size() + 4);                // CELLS frame
-  put_u64(out, body_bytes);
-  put_u32(out, crc32(&body_bytes, sizeof(body_bytes)));
-  put_bytes(out, kEndMagic, sizeof(kEndMagic));
-}
-
-void write_cube_v1(std::ostream& out, const OlapCube& cube) {
-  BOHR_EXPECTS(out.good());
-  put_bytes(out, kMagic, sizeof(kMagic));
-  put_u32(out, kVersionV1);
-  encode_dimensions(out, cube);
-  encode_cells(out, cube);
+  const std::string bytes = encode_cube(cube);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!out.good()) throw CubeIoError("write failed (stream went bad)");
 }
 
 OlapCube read_cube(std::istream& in) {
   BOHR_EXPECTS(in.good());
-  Reader reader{in};
-  char magic[8];
-  reader.bytes(magic, sizeof(magic));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    corrupt("bad magic (not a cube file)");
-  }
-  const std::uint32_t version = reader.u32();
-  switch (version) {
-    case kVersionV1:
-      return read_cube_v1(reader);
-    case kVersionV2:
-      return read_cube_v2(reader);
-    default:
-      corrupt("unsupported format version " + std::to_string(version));
-  }
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  if (in.bad()) throw CubeIoError("read failed (stream went bad)");
+  return decode_cube(std::move(bytes).str());
 }
 
 void save_cube(const std::string& path, const OlapCube& cube) {

@@ -3,7 +3,7 @@
 // Pre-processed cubes outlive the raw data (§8.5 notes raw data can go
 // to cold storage once cubes exist), so they need a durable on-disk
 // format that a process crash or a lying disk cannot silently break.
-// Format v2 (written by write_cube) is section-framed and checksummed:
+// The format (version 2) is section-framed and checksummed:
 //
 //   magic "BOHRCUBE" | u32 version = 2
 //   DIMS  section: u64 length | payload | u32 crc32(payload)
@@ -16,17 +16,17 @@
 // (dim_count x u64 members | u64 count | f64 sum/min/max), and the
 // footer's body_bytes counts every byte before the footer — a
 // length-prefixed seal that catches truncation even at a section
-// boundary. All integers little-endian; doubles as IEEE-754 bit
-// patterns.
-//
-// Format v1 (the unchecksummed original: magic | version | dims |
-// totals | cells, no framing) is still readable; write_cube_v1 is kept
-// so migration coverage does not depend on archived binaries.
+// boundary, and the file ends at the footer. Strings are u32-length
+// prefixed; fields are encoded with common/bytes.h (little-endian
+// integers, doubles as IEEE-754 bit patterns). Version 1, the
+// unchecksummed original, is rejected like any unknown version: nothing
+// writes it, and no caller reads files from before version 2.
 #pragma once
 
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "olap/cube.h"
 
@@ -36,24 +36,30 @@ namespace bohr::olap {
 /// or magic/version mismatch, bound-violating contents, or a failed
 /// write/flush/rename. Distinct from ContractViolation (programmer
 /// error, e.g. handing write_cube an unopened stream) so callers such
-/// as checkpoint recovery can catch corruption without masking bugs.
+/// as checkpoint recovery can catch corruption without masking bugs:
+/// the decoder turns exactly the codec's DecodeError into CubeIoError,
+/// never a ContractViolation in general.
 class CubeIoError : public std::runtime_error {
  public:
   explicit CubeIoError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Serializes `cube` to a binary stream in format v2. Throws
+/// The byte image of `cube` in the format above.
+std::string encode_cube(const OlapCube& cube);
+
+/// Parses one whole cube image. Throws CubeIoError on truncated,
+/// corrupted, bound-violating or trailing input and on version/magic
+/// mismatches.
+OlapCube decode_cube(std::string_view bytes);
+
+/// Writes encode_cube(cube) to a binary stream. Throws
 /// ContractViolation when handed a stream already in a failed state and
 /// CubeIoError when the stream fails mid-write.
 void write_cube(std::ostream& out, const OlapCube& cube);
 
-/// Legacy format-v1 writer, kept for migration tests and tooling.
-void write_cube_v1(std::ostream& out, const OlapCube& cube);
-
-/// Reads a cube previously written by write_cube (v2) or write_cube_v1.
-/// Throws CubeIoError on truncated, corrupted, or bound-violating input
-/// and on version/magic mismatches; ContractViolation only for caller
-/// misuse (a stream already in a failed state).
+/// Reads the rest of the stream and decodes it as one cube image
+/// (decode_cube's errors); ContractViolation only for caller misuse (a
+/// stream already in a failed state).
 OlapCube read_cube(std::istream& in);
 
 /// Crash-atomic file save: writes to `path + ".tmp"`, flushes, verifies

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -79,6 +82,16 @@ TEST(LatencyRecorderTest, DeserializeRejectsTruncatedImage) {
   rec.add(1.0);
   std::string image = rec.serialize();
   image.pop_back();
+  EXPECT_THROW(LatencyRecorder::deserialize(image), ContractViolation);
+}
+
+TEST(LatencyRecorderTest, DeserializeRejectsCountThatWrapsTheSizeCheck) {
+  // count * 8 wraps to 8 for count = 2^61 + 1, so a 16-byte image looks
+  // complete to a size check that multiplies; the count must be checked
+  // against the bytes that are actually there.
+  std::string image(16, '\0');
+  const std::uint64_t count = (std::uint64_t{1} << 61) + 1;
+  std::memcpy(image.data(), &count, sizeof(count));
   EXPECT_THROW(LatencyRecorder::deserialize(image), ContractViolation);
 }
 

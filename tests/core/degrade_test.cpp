@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -209,6 +211,16 @@ TEST(DegradedReportTest, TruncatedImageThrows) {
   std::string garbled = bytes;
   garbled[0] ^= 0x5A;  // break the magic
   EXPECT_THROW(DegradedReport::deserialize(garbled), bohr::ContractViolation);
+}
+
+TEST(DegradedReportTest, AnswerCountBeyondTheImageThrows) {
+  std::string bytes = DegradedReport{}.serialize();
+  // The answer count follows the magic, the version and seven counters.
+  const std::size_t count_at = 4 + 4 + 7 * 8;
+  ASSERT_EQ(bytes.size(), count_at + 8);
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  std::memcpy(bytes.data() + count_at, &huge, sizeof(huge));
+  EXPECT_THROW(DegradedReport::deserialize(bytes), bohr::ContractViolation);
 }
 
 TEST(DegradedReportTest, AppendFoldsCountersAndAnswers) {

@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "core/experiment.h"
+#include "sealed_snapshot.h"
 #include "engine/partitioner.h"
 #include "net/faults.h"
 
@@ -309,6 +312,31 @@ TEST(ChurnExperimentTest, CrashMidMigrationRecoversToSameFinalState) {
   EXPECT_EQ(recovered.avg_qct_seconds, clean.avg_qct_seconds);
   EXPECT_EQ(recovered.migration_log, clean.migration_log);
   EXPECT_EQ(recovered.migration_log_crc32, clean.migration_log_crc32);
+}
+
+TEST(ChurnExperimentTest, RoundCountBeyondTheImageIsRejected) {
+  const ExperimentConfig cfg = churn_config();
+  const std::string dir = fresh_dir("churn_bad_round_count");
+  ChurnOptions crash = fast_churn();
+  crash.checkpoint_dir = dir;
+  crash.crash_after_round = 2;
+  ASSERT_TRUE(run_churn_experiment(cfg, crash).crashed);
+
+  // The per-round QCT count follows the magic, the version and five
+  // scalar fields. 2^62 exceeds any vector's max_size, so only a check
+  // against the image's remaining bytes makes it a contract violation.
+  const fs::path snap = fs::path(dir) / "snapshot-2";
+  std::string image = sealed_snapshot::read_file(snap / "migration.bin");
+  const std::size_t count_at = 4 + 8 + 5 * 8;
+  ASSERT_GT(image.size(), count_at + 8);
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  std::memcpy(image.data() + count_at, &huge, sizeof(huge));
+  sealed_snapshot::rewrite(snap, "migration.bin", image);
+
+  ChurnOptions resume = fast_churn();
+  resume.checkpoint_dir = dir;
+  resume.recover = true;
+  EXPECT_THROW(run_churn_experiment(cfg, resume), ContractViolation);
 }
 
 TEST(MigrationControllerTest, DeadAliveDeadCycleEvacuatesBothTimes) {

@@ -6,6 +6,8 @@
 // from scratch — never to a wrong answer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -13,7 +15,7 @@
 
 #include "core/checkpoint.h"
 #include "core/experiment.h"
-#include "net/bandwidth_estimator.h"
+#include "sealed_snapshot.h"
 
 namespace bohr::core {
 namespace {
@@ -70,7 +72,6 @@ std::string recover_and_finish(const ExperimentConfig& cfg,
     details->recovered = found.recovered;
     details->snapshot_seq = found.snapshot_seq;
     details->snapshots_rejected = found.snapshots_rejected;
-    details->bandwidth = found.bandwidth;
   }
   CheckpointManager checkpoints(dir, 2, &controller.options().faults);
   const PrepareReport& report =
@@ -224,32 +225,49 @@ TEST(RecoveryTest, PruningKeepsOnlyTheNewestSnapshots) {
   EXPECT_TRUE(fs::exists(fs::path(dir) / "snapshot-4" / "MANIFEST"));
 }
 
-TEST(RecoveryTest, BandwidthEstimatesRideAlongAndRoundTrip) {
-  const ExperimentConfig cfg = small_config();
-  const std::string dir = fresh_dir("ck-bandwidth");
-  Controller crashing = make_controller(cfg, Strategy::Bohr);
-  net::BandwidthEstimator estimator(crashing.topology().site_count());
-  for (std::size_t s = 0; s < crashing.topology().site_count(); ++s) {
-    estimator.observe(s, 1e6 * static_cast<double>(s + 1),
-                      2e6 * static_cast<double>(s + 1));
-  }
-  CheckpointManager checkpoints(dir);
-  PrepareProgress progress = crashing.start_prepare();
-  crashing.step_similarity(progress);
-  checkpoints.snapshot(crashing, progress, &estimator);
+/// Offset of the retired bandwidth-estimate presence byte in state.bin:
+/// magic, version, completed steps, four RNG words, the spare normal
+/// and its flag.
+constexpr std::size_t kBandwidthByteAt = 8 + 4 + 4 + 4 * 8 + 8 + 1;
 
-  Controller restored = make_controller(cfg, Strategy::Bohr);
-  RecoveryManager recovery(dir);
-  RecoveryResult found = recovery.recover(restored);
-  ASSERT_TRUE(found.recovered);
-  ASSERT_TRUE(found.bandwidth.has_value());
-  net::BandwidthEstimator rebuilt(restored.topology().site_count());
-  rebuilt.restore(*found.bandwidth);
-  for (std::size_t s = 0; s < restored.topology().site_count(); ++s) {
-    EXPECT_TRUE(rebuilt.has_estimate(s));
-    EXPECT_EQ(rebuilt.uplink_estimate(s), estimator.uplink_estimate(s));
-    EXPECT_EQ(rebuilt.downlink_estimate(s), estimator.downlink_estimate(s));
-  }
+TEST(RecoveryTest, StateImageWithBandwidthEstimatesIsRejected) {
+  const ExperimentConfig cfg = small_config();
+  const std::string expected = plain_prepare_image(cfg);
+  const std::string dir = fresh_dir("ck-bandwidth-byte");
+  crash_at(cfg, "placement", dir);  // leaves snapshots 1 and 2
+
+  const fs::path snap = fs::path(dir) / "snapshot-2";
+  std::string image = sealed_snapshot::read_file(snap / "state.bin");
+  ASSERT_EQ(image[kBandwidthByteAt], 0);
+  image[kBandwidthByteAt] = 1;
+  sealed_snapshot::rewrite(snap, "state.bin", image);
+
+  RecoveryResult details;
+  EXPECT_EQ(recover_and_finish(cfg, dir, &details), expected);
+  EXPECT_TRUE(details.recovered);
+  EXPECT_EQ(details.snapshot_seq, 1u);
+  EXPECT_EQ(details.snapshots_rejected, 1u);
+}
+
+TEST(RecoveryTest, CountBeyondTheStateImageRejectsTheSnapshot) {
+  // The report's move_bytes count follows the presence byte and two
+  // doubles. A sealed image claiming 2^32 - 1 entries must be rejected
+  // as corrupt before anything is sized with the count.
+  const ExperimentConfig cfg = small_config();
+  const std::string expected = plain_prepare_image(cfg);
+  const std::string dir = fresh_dir("ck-huge-count");
+  crash_at(cfg, "placement", dir);
+
+  const fs::path snap = fs::path(dir) / "snapshot-2";
+  std::string image = sealed_snapshot::read_file(snap / "state.bin");
+  const std::uint32_t huge = 0xFFFFFFFFu;
+  std::memcpy(image.data() + kBandwidthByteAt + 1 + 2 * 8, &huge, 4);
+  sealed_snapshot::rewrite(snap, "state.bin", image);
+
+  RecoveryResult details;
+  EXPECT_EQ(recover_and_finish(cfg, dir, &details), expected);
+  EXPECT_EQ(details.snapshot_seq, 1u);
+  EXPECT_EQ(details.snapshots_rejected, 1u);
 }
 
 TEST(RecoveryTest, EmptyDirectoryRecoversNothing) {

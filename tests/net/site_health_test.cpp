@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "common/check.h"
@@ -167,6 +169,20 @@ TEST(SiteHealthTest, RestoreRejectsWrongShape) {
   SiteHealthMonitor truncated(3);
   EXPECT_THROW(truncated.restore(image.substr(0, image.size() - 1)),
                bohr::ContractViolation);
+}
+
+TEST(SiteHealthTest, RestoreRejectsFlapCountBeyondTheImage) {
+  SiteHealthMonitor monitor(3);
+  std::string image = monitor.serialize();
+  // Site 0's flap-time count follows the site count, the last-observed
+  // time and the site's five fixed fields. 2^62 exceeds what a vector
+  // could ever hold, so only a check against the image's remaining
+  // bytes turns it into a contract violation.
+  const std::size_t flap_count_at = 8 + 8 + 5 * 8;
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  std::memcpy(image.data() + flap_count_at, &huge, sizeof(huge));
+  SiteHealthMonitor restored(3);
+  EXPECT_THROW(restored.restore(image), bohr::ContractViolation);
 }
 
 TEST(SiteHealthLongHorizonTest, BackoffSaturatesOverThousandsOfRounds) {

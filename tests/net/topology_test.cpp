@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "net/bandwidth_estimator.h"
 
 namespace bohr::net {
 namespace {
@@ -51,43 +50,6 @@ TEST(TopologyTest, InvalidSiteThrows) {
 TEST(TopologyTest, NonPositiveBandwidthRejected) {
   EXPECT_THROW(WanTopology({Site{"x", 0.0, 1.0}}), ContractViolation);
   EXPECT_THROW(make_paper_topology(-5.0), ContractViolation);
-}
-
-TEST(BandwidthEstimatorTest, FirstObservationTaken) {
-  BandwidthEstimator est(2);
-  EXPECT_FALSE(est.has_estimate(0));
-  est.observe(0, 100.0, 200.0);
-  EXPECT_TRUE(est.has_estimate(0));
-  EXPECT_DOUBLE_EQ(est.uplink_estimate(0), 100.0);
-  EXPECT_DOUBLE_EQ(est.downlink_estimate(0), 200.0);
-}
-
-TEST(BandwidthEstimatorTest, EwmaConverges) {
-  BandwidthEstimator est(1, 0.5);
-  est.observe(0, 100.0, 100.0);
-  for (int i = 0; i < 20; ++i) est.observe(0, 200.0, 200.0);
-  EXPECT_NEAR(est.uplink_estimate(0), 200.0, 1.0);
-}
-
-TEST(BandwidthEstimatorTest, NoisyObservationTracksTruth) {
-  const WanTopology truth = make_paper_topology(10e6);
-  BandwidthEstimator est(truth.site_count(), 0.3);
-  Rng rng(4);
-  for (int i = 0; i < 50; ++i) est.observe_noisy(truth, 0.05, rng);
-  for (SiteId s = 0; s < truth.site_count(); ++s) {
-    EXPECT_NEAR(est.uplink_estimate(s) / truth.uplink(s), 1.0, 0.15);
-  }
-}
-
-TEST(BandwidthEstimatorTest, EstimatedTopologySnapshot) {
-  const WanTopology truth = make_paper_topology(10e6);
-  BandwidthEstimator est(truth.site_count());
-  Rng rng(4);
-  est.observe_noisy(truth, 0.0, rng);
-  const WanTopology snap = est.estimated_topology(truth);
-  EXPECT_EQ(snap.site_count(), truth.site_count());
-  EXPECT_DOUBLE_EQ(snap.uplink(0), truth.uplink(0));
-  EXPECT_EQ(snap.site(3).name, "Virginia");
 }
 
 }  // namespace

@@ -98,11 +98,13 @@ TEST(CubeIoTest, RejectsBadMagic) {
 }
 
 TEST(CubeIoTest, RejectsUnsupportedVersion) {
-  std::string bytes = serialize_v2(sample_cube());
-  const std::uint32_t bogus = 99;
-  std::memcpy(bytes.data() + 8, &bogus, 4);
-  std::stringstream buffer(bytes);
-  EXPECT_THROW(read_cube(buffer), CubeIoError);
+  // Version 1, the unchecksummed original, is no longer read either.
+  for (const std::uint32_t bogus : {1u, 99u}) {
+    std::string bytes = serialize_v2(sample_cube());
+    std::memcpy(bytes.data() + 8, &bogus, 4);
+    std::stringstream buffer(bytes);
+    EXPECT_THROW(read_cube(buffer), CubeIoError) << "version " << bogus;
+  }
 }
 
 TEST(CubeIoTest, RejectsTruncatedStream) {
@@ -199,23 +201,6 @@ TEST(CubeIoCorruptionTest, LyingCellCountThrows) {
   }
   std::stringstream buffer(bytes);
   EXPECT_THROW(read_cube(buffer), CubeIoError);
-}
-
-TEST(CubeIoCompatTest, V1FilesStillLoad) {
-  const OlapCube original = sample_cube();
-  std::stringstream buffer;
-  write_cube_v1(buffer, original);
-  const OlapCube loaded = read_cube(buffer);
-  EXPECT_TRUE(cubes_equal(original, loaded));
-}
-
-TEST(CubeIoCompatTest, TruncatedV1ThrowsCubeIoError) {
-  const OlapCube original = sample_cube();
-  std::ostringstream buffer;
-  write_cube_v1(buffer, original);
-  const std::string full = buffer.str();
-  std::stringstream truncated(full.substr(0, full.size() - 3));
-  EXPECT_THROW(read_cube(truncated), CubeIoError);
 }
 
 TEST(CubeIoTest, FileRoundTrip) {
