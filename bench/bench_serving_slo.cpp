@@ -6,7 +6,11 @@
 // is published as the `p99_by_load` JSON series; every number is
 // modeled virtual time, so the series is byte-stable across hosts,
 // build types, and thread counts — tools/perf_smoke.py gates it against
-// the checked-in baseline as a model-drift alarm.
+// the checked-in baseline as a model-drift alarm. Beside it,
+// `flow_events_by_load` publishes the shuffle flow simulator's event
+// count summed over each load point's queries: a deterministic work
+// counter, gated exactly the same way, so a change to the simulator's
+// event structure cannot land unnoticed.
 #include "bench_common.h"
 
 #include "serve/server.h"
@@ -62,6 +66,7 @@ int main(int argc, char** argv) {
                        "p99 (s)", "max (s)", "throughput (qps)",
                        "makespan (s)"});
     std::string json = "{";
+    std::string events_json = "{";
     for (const auto& row : g_rows) {
       const LatencySummary& s = row.report.summary;
       table.add_row({TablePrinter::num(row.offered_qps, 2),
@@ -75,10 +80,15 @@ int main(int argc, char** argv) {
       if (json.size() > 1) json += ",";
       json += "\"" + TablePrinter::num(row.offered_qps, 2) +
               "\":" + TablePrinter::num(s.p99_seconds, 6);
+      if (events_json.size() > 1) events_json += ",";
+      events_json += "\"" + TablePrinter::num(row.offered_qps, 2) +
+                     "\":" + std::to_string(row.report.shuffle_flow_events);
     }
     json += "}";
-    // p99_by_load is what tools/perf_smoke.py --key gates on.
+    events_json += "}";
+    // Both series are what tools/perf_smoke.py --key gates on.
     add_bench_json_field("p99_by_load", json);
+    add_bench_json_field("flow_events_by_load", events_json);
     table.print("Serving SLO: offered load vs tail QCT");
   });
 }

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "net/transfer.h"
 
 namespace bohr::engine {
 
@@ -81,22 +80,14 @@ JobResult shuffle_and_reduce(const net::WanTopology& topo,
       result.wan_shuffle_bytes += bytes;
     }
   }
-  std::vector<double> flow_finish(flows.size(), 0.0);
-  if (config.faults != nullptr && !config.faults->wan_quiet()) {
-    const net::FaultSimReport faulted =
-        net::simulate_flows_with_faults(topo, flows, *config.faults);
-    result.shuffle_interruptions = faulted.interruptions;
-    result.shuffle_retries = faulted.retries;
-    result.shuffle_flows_failed = faulted.failures;
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      flow_finish[f] = faulted.flows[f].finish_time;
-    }
-  } else {
-    const auto flow_results = net::simulate_flows(topo, flows);
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      flow_finish[f] = flow_results[f].finish_time;
-    }
-  }
+  static const net::FaultPlan kNoFaults;
+  const net::FaultSimReport shuffle = net::simulate_flows_with_faults(
+      topo, flows, config.faults != nullptr ? *config.faults : kNoFaults);
+  result.shuffle_interruptions = shuffle.interruptions;
+  result.shuffle_retries = shuffle.retries;
+  result.shuffle_flows_failed = shuffle.failures;
+  result.shuffle_flow_events = shuffle.events;
+  result.shuffle_fill_iterations = shuffle.fill_iterations;
 
   std::vector<double> shuffle_finish(n, 0.0);
   for (net::SiteId j = 0; j < n; ++j) {
@@ -106,8 +97,8 @@ JobResult shuffle_and_reduce(const net::WanTopology& topo,
                             : 0.0;
   }
   for (std::size_t f = 0; f < flows.size(); ++f) {
-    shuffle_finish[flows[f].dst] =
-        std::max(shuffle_finish[flows[f].dst], flow_finish[f]);
+    shuffle_finish[flows[f].dst] = std::max(shuffle_finish[flows[f].dst],
+                                            shuffle.flows[f].finish_time);
   }
 
   // ---- Reduce ------------------------------------------------------------
@@ -238,7 +229,7 @@ SiteStage run_site_stage(const RecordStream& input, const QuerySpec& spec,
   LocalStageResult local = run_local_stage(
       partitions, config.machine, config.executor_assignment, spec.op,
       spec.compute_multiplier, config.dimsum, rng);
-  return SiteStage{input.size(), local.shuffle_input.size(),
+  return SiteStage{input.size(), local.shuffle_records,
                    local.exchanged_records, local.rdd_check_seconds,
                    std::move(local.executor_seconds)};
 }

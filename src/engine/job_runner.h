@@ -29,8 +29,8 @@ struct JobConfig {
   /// joint strategies; §8.5 includes it in QCT).
   double controller_overhead_seconds = 0.0;
   /// Optional WAN fault model for the shuffle (not owned; the shuffle
-  /// clock starts at 0 when the first map finishes feeding it). Null or
-  /// WAN-quiet plans take the pristine simulator path. Shuffle flows cut
+  /// clock starts at 0 when the first map finishes feeding it). Null
+  /// means the empty plan. Shuffle flows cut
   /// by an outage retry after recovery; retry and backoff time lands in
   /// QCT via the flows' finish times. The plan's slow-site windows
   /// stretch reduce work at the covered sites (evaluated on the same
@@ -84,6 +84,10 @@ struct JobResult {
   /// Shuffle flows abandoned after max retries: the reduce ran with
   /// incomplete input — recorded, never silently dropped.
   std::size_t shuffle_flows_failed = 0;
+  /// The shuffle simulation's deterministic work counters
+  /// (net::FaultSimReport::events and ::fill_iterations).
+  std::size_t shuffle_flow_events = 0;
+  std::size_t shuffle_fill_iterations = 0;
   /// Reduce buckets speculatively re-executed on a healthy site (0
   /// unless bucket-granular reduce + speculation are enabled).
   std::size_t reduce_speculations = 0;

@@ -162,11 +162,10 @@ LocalStageResult run_local_stage(
 
   // Per-executor map + per-partition combine. The combiner runs are
   // independent per partition and thread; the executor-key / shuffle
-  // bookkeeping folds serially in partition order so shuffle_input keeps
-  // its historical record sequence. Partitions are combined in bounded
-  // windows so peak memory stays O(window) combined streams instead of
-  // O(all partitions); the window size is a fixed constant, never a
-  // function of the thread count (determinism rule 1).
+  // bookkeeping folds serially in partition order. Partitions are
+  // combined in bounded windows so peak memory stays O(window) combined
+  // streams instead of O(all partitions); the window size is a fixed
+  // constant, never a function of the thread count (determinism rule 1).
   constexpr std::size_t kCombineWindow = 256;
   std::vector<double> map_records(config.executors, 0.0);
   std::vector<std::unordered_set<std::uint64_t>> executor_keys(
@@ -191,8 +190,7 @@ LocalStageResult run_local_stage(
       map_records[e] += static_cast<double>(partitions[p].size());
       RecordStream& combined = combined_of[i];
       for (const KeyValue& kv : combined) executor_keys[e].insert(kv.key);
-      result.shuffle_input.insert(result.shuffle_input.end(), combined.begin(),
-                                  combined.end());
+      result.shuffle_records += combined.size();
       RecordStream().swap(combined);  // release this partition's stream
     }
   }

@@ -71,9 +71,9 @@ struct LocalStageResult {
   /// Simulated seconds until every executor finished map+combine+merge
   /// and the cross-executor exchange completed, with no stragglers.
   double stage_seconds = 0.0;
-  /// Per-partition combined outputs, concatenated: this is the shuffle
+  /// Records in the per-partition combined outputs: the site's shuffle
   /// input (Spark combines per map task; no machine-wide combine).
-  RecordStream shuffle_input;
+  std::size_t shuffle_records = 0;
   /// Records crossing executors during local aggregation.
   std::size_t exchanged_records = 0;
   /// Simulated cost of RDD similarity checking (0 unless k-means mode).

@@ -215,15 +215,23 @@ struct FaultSimReport {
   std::size_t retries = 0;        ///< re-attempts scheduled
   std::size_t failures = 0;       ///< flows abandoned after max_retries
   double makespan = 0.0;          ///< last finish (or abandonment) time
+  /// Deterministic work counters: clock advances of the event loop (a
+  /// rate allocation, or a jump to the next arrival or fault edge while
+  /// no flow is active) and progressive-filling iterations summed over
+  /// every allocation.
+  std::size_t events = 0;
+  std::size_t fill_iterations = 0;
 };
 
 /// Fluid simulation under a fault plan: piecewise-constant link
 /// capacities, interrupted flows retrying under exponential backoff.
 /// With an empty plan and an infinite deadline this reproduces
-/// `simulate_flows` bit for bit. `deadline` only affects the
-/// delivered_by_deadline bookkeeping, never the dynamics.
+/// `simulate_flows` bit for bit; any WAN-quiet plan skips the fault
+/// work entirely. `deadline` only affects the delivered_by_deadline
+/// bookkeeping, never the dynamics.
 FaultSimReport simulate_flows_with_faults(
-    const WanTopology& topo, std::vector<Flow> flows, const FaultPlan& plan,
+    const WanTopology& topo, const std::vector<Flow>& flows,
+    const FaultPlan& plan,
     double deadline = std::numeric_limits<double>::infinity());
 
 }  // namespace bohr::net

@@ -39,8 +39,9 @@ std::vector<double> max_min_rates(const WanTopology& topo,
 
 /// Fluid simulation of all flows to completion. Deterministic.
 /// Zero-byte or intra-site flows complete instantly at their start time.
+/// `simulate_flows_with_faults` under the empty plan.
 std::vector<FlowResult> simulate_flows(const WanTopology& topo,
-                                       std::vector<Flow> flows);
+                                       const std::vector<Flow>& flows);
 
 /// Time for `bytes` to cross src->dst alone on an idle network.
 double single_flow_seconds(const WanTopology& topo, SiteId src, SiteId dst,

@@ -71,6 +71,7 @@ ServeReport run_serving(const core::Controller& controller,
   // RNG derives from (seed, seq); each body writes only its own batch's
   // slot, so thread count cannot perturb any value.
   std::vector<std::vector<double>> service(batches.size());
+  std::vector<std::size_t> flow_events(batches.size(), 0);
   parallel_for(batches.size(), [&](std::size_t b) {
     const QueryBatch& batch = batches[b];
     const engine::ReduceBucketMap* buckets = buckets_for(batch.close_time);
@@ -83,6 +84,7 @@ ServeReport run_serving(const core::Controller& controller,
       const engine::JobResult r = controller.run_single_query(
           q.dataset, q.type_spec, buckets, rng);
       times.push_back(r.qct_seconds * q.work_scale);
+      flow_events[b] += r.shuffle_flow_events;
     }
   });
 
@@ -108,6 +110,7 @@ ServeReport run_serving(const core::Controller& controller,
     }
     slot_free[slot] = now;
     report.makespan_seconds = std::max(report.makespan_seconds, now);
+    report.shuffle_flow_events += flow_events[b];
   }
 
   report.summary = report.qct.summarize(options.arrivals.duration_seconds);

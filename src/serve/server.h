@@ -65,6 +65,10 @@ struct ServeReport {
   /// Virtual completion time of the last batch (>= duration under
   /// overload: the backlog drains past the admission window).
   double makespan_seconds = 0.0;
+  /// Shuffle flow-simulation events summed over every served query
+  /// (engine::JobResult::shuffle_flow_events): deterministic, so gated
+  /// exactly.
+  std::size_t shuffle_flow_events = 0;
   // Migration-plane counters (all zero when the cadence is off).
   std::size_t migration_epochs = 0;
   std::size_t migrations = 0;

@@ -33,8 +33,10 @@ TEST(ConservationTest, CombinerPreservesValueSum) {
 }
 
 TEST(ConservationTest, LocalStagePreservesPerKeySums) {
-  // The concatenated shuffle input must aggregate to the same per-key
-  // totals as the raw input, for any partitioning/assignment.
+  // The shuffle input is every partition's combined output: those
+  // streams must aggregate to the same per-key totals as the raw input,
+  // and the local stage must count exactly their records, for any
+  // partitioning/assignment.
   Rng data_rng(13);
   const RecordStream input = random_stream(data_rng, 1000, 64);
   std::unordered_map<std::uint64_t, double> truth;
@@ -42,20 +44,27 @@ TEST(ConservationTest, LocalStagePreservesPerKeySums) {
 
   for (const auto policy :
        {PartitionPolicy::ArrivalOrder, PartitionPolicy::CubeSorted}) {
+    const auto parts = make_partitions(input, 37, policy);
+    std::unordered_map<std::uint64_t, double> sums;
+    std::size_t combined_records = 0;
+    for (const auto& part : parts) {
+      const RecordStream combined = combine(part, AggregateOp::Sum);
+      combined_records += combined.size();
+      for (const auto& kv : combined) sums[kv.key] += kv.value;
+    }
+    ASSERT_EQ(sums.size(), truth.size());
+    for (const auto& [key, total] : truth) {
+      EXPECT_NEAR(sums.at(key), total, 1e-6);
+    }
+    EXPECT_LT(combined_records, input.size());
     for (const auto assignment : {ExecutorAssignment::RoundRobin,
                                   ExecutorAssignment::SimilarityKMeans}) {
-      const auto parts = make_partitions(input, 37, policy);
       MachineConfig cfg;
       cfg.executors = 3;
       Rng rng(7);
       const auto result = run_local_stage(parts, cfg, assignment,
                                           AggregateOp::Sum, 1.0, {}, rng);
-      std::unordered_map<std::uint64_t, double> sums;
-      for (const auto& kv : result.shuffle_input) sums[kv.key] += kv.value;
-      ASSERT_EQ(sums.size(), truth.size());
-      for (const auto& [key, total] : truth) {
-        EXPECT_NEAR(sums.at(key), total, 1e-6);
-      }
+      EXPECT_EQ(result.shuffle_records, combined_records);
     }
   }
 }

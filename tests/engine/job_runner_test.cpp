@@ -89,11 +89,17 @@ TEST(JobRunnerTest, ReducePlacementControlsWanBytes) {
   const auto local =
       run_job(topo, inputs, {1.0, 0.0}, sum_spec(), fast_config(), rng_a);
   EXPECT_DOUBLE_EQ(local.wan_shuffle_bytes, 0.0);
+  EXPECT_EQ(local.shuffle_flow_events, 0u);
+  EXPECT_EQ(local.shuffle_fill_iterations, 0u);
   // All reduce at the other site: everything crosses.
   const auto remote =
       run_job(topo, inputs, {0.0, 1.0}, sum_spec(), fast_config(), rng_b);
   EXPECT_DOUBLE_EQ(remote.wan_shuffle_bytes, 320.0);
   EXPECT_GT(remote.qct_seconds, local.qct_seconds);
+  // One flow, entering at the map finish: an idle jump to its start,
+  // then one single-iteration rate allocation that runs it to the end.
+  EXPECT_EQ(remote.shuffle_flow_events, 2u);
+  EXPECT_EQ(remote.shuffle_fill_iterations, 1u);
 }
 
 TEST(JobRunnerTest, ControllerOverheadAddsToQct) {

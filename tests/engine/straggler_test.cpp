@@ -104,7 +104,7 @@ TEST(StragglerTest, ShuffleVolumeUnaffected) {
   Rng rng_b(5);
   const auto a = run_with_stragglers(big_parts(4, 50), clean, rng_a).local;
   const auto b = run_with_stragglers(big_parts(4, 50), slow, rng_b).local;
-  EXPECT_EQ(a.shuffle_input.size(), b.shuffle_input.size());
+  EXPECT_EQ(a.shuffle_records, b.shuffle_records);
 }
 
 // ---- Metamorphic properties, over many seeds --------------------------

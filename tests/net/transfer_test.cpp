@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/faults.h"
+
 #include <cmath>
 
 namespace bohr::net {
@@ -148,6 +150,29 @@ TEST(TransferTest, SlowerTierFinishesLater) {
   const auto results =
       simulate_flows(topo, {{0, 1, 1e6, 0}, {6, 7, 1e6, 0}});
   EXPECT_LT(results[0].finish_time, results[1].finish_time);
+}
+
+TEST(FlowSimCountersTest, PinnedForOneTenSiteShuffle) {
+  // All-to-all over the paper's ten sites with staggered map finishes
+  // and uneven volumes. The counts are what the simulator reported
+  // before its per-flow state became compact arrays: they pin the event
+  // structure (one event per arrival or completion epoch) and the
+  // progressive filler's iteration count.
+  const WanTopology topo = make_paper_topology(125e6);
+  std::vector<Flow> flows;
+  for (SiteId i = 0; i < topo.site_count(); ++i) {
+    for (SiteId j = 0; j < topo.site_count(); ++j) {
+      if (i == j) continue;
+      flows.push_back(
+          Flow{i, j, 1e8 * static_cast<double>(1 + (3 * i + 7 * j) % 11),
+               0.05 * static_cast<double>(i)});
+    }
+  }
+  const FaultSimReport report =
+      simulate_flows_with_faults(topo, flows, FaultPlan{});
+  EXPECT_EQ(report.events, 99u);
+  EXPECT_EQ(report.fill_iterations, 475u);
+  EXPECT_DOUBLE_EQ(report.makespan, 47.5);
 }
 
 }  // namespace

@@ -23,6 +23,11 @@ Gated series (selected with --key):
                          match the baseline within a relative 1e-6, in
                          both directions: a model change that moves the
                          tail up or collapses it trips the gate
+  flow_events_by_load    — shuffle flow-simulation events summed over the
+                         served queries, by offered load (same bench
+                         run). A deterministic work counter, gated
+                         exactly like p99_by_load: a change to the flow
+                         simulator's event structure trips it
 
 Usage:
   perf_smoke.py CURRENT_JSON BASELINE_JSON [--threshold 0.20] [--key KEY]
@@ -34,8 +39,9 @@ import argparse
 import json
 import sys
 
-# Modeled-time series: deterministic, so gated per case and two-sided.
-EXACT_KEYS = {"p99_by_load"}
+# Modeled-time series and work counters: deterministic, so gated per
+# case and two-sided.
+EXACT_KEYS = {"p99_by_load", "flow_events_by_load"}
 EXACT_REL_TOL = 1e-6
 
 
